@@ -49,10 +49,7 @@ def drop_edges(g: Graph, p_c: float, rng: np.random.Generator) -> Graph:
         raise ContractError(f"p_c must lie in [0, 1), got {p_c}")
     keep = rng.random(g.n_edges) >= p_c
     edges = g.edges[keep]
-    degree = np.zeros(g.n_nodes, dtype=np.int64)
-    for i, j in edges:
-        degree[i] += 1
-        degree[j] += 1
+    degree = np.bincount(edges.ravel(), minlength=g.n_nodes)
     return Graph(n_nodes=g.n_nodes, edges=edges, features=g.features,
                  labels=g.labels, degree=degree, n_classes=g.n_classes,
                  name=g.name)

@@ -74,6 +74,7 @@ def linear_probe(embeddings, labels, splits: list[Split], lr: float = 0.01,
         best_val = -1.0
         best = (w.copy(), b.copy())
         has_val = len(split.val) > 0
+        xval, yval = x[split.val], y[split.val]
         for t in range(1, epochs + 1):
             p = _softmax(xtr @ w + b)
             diff = (p - onehot) / len(xtr)
@@ -86,8 +87,8 @@ def linear_probe(embeddings, labels, splits: list[Split], lr: float = 0.01,
                 vh = v[name] / (1.0 - 0.999 ** t)
                 param -= lr * mh / (np.sqrt(vh) + 1e-8)
             if has_val:
-                val_pred = (x[split.val] @ w + b).argmax(axis=1)
-                val_acc = float((val_pred == y[split.val]).mean())
+                val_pred = (xval @ w + b).argmax(axis=1)
+                val_acc = float((val_pred == yval).mean())
                 if val_acc > best_val:
                     best_val = val_acc
                     best = (w.copy(), b.copy())

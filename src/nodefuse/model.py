@@ -126,27 +126,47 @@ def _aggregate(adj, x: Tensor) -> Tensor:
     raise ContractError(f"unsupported adjacency type {type(adj).__name__}")
 
 
-def _encode(params: ModelParams, x: Tensor, adj, dropout_mask: Tensor | None) -> Tensor:
+def first_layer_product(params: ModelParams, x: Tensor) -> Tensor:
+    """x @ enc_w1, the product both views start from.
+
+    Dropout acts only after the first aggregation, so every encoding of the
+    same x can share one product: pass it to the encoders as `xw`.
+    """
     if x.cols != params.dims.f_in:
         raise ContractError(
             f"encoder expects {params.dims.f_in} input features, got {x.cols}"
         )
-    h = T.relu(_aggregate(adj, T.matmul(x, params.enc_w1)))
+    return T.matmul(x, params.enc_w1)
+
+
+def _encode(params: ModelParams, x: Tensor, adj, dropout_mask: Tensor | None,
+            xw: Tensor | None) -> Tensor:
+    if xw is None:
+        xw = first_layer_product(params, x)
+    h = T.relu(_aggregate(adj, xw))
     if dropout_mask is not None:
         h = T.mul(h, dropout_mask)
     return _aggregate(adj, T.matmul(h, params.enc_w2))
 
 
 def encode_semantic(params: ModelParams, x: Tensor,
-                    dropout_mask: Tensor | None = None) -> Tensor:
-    """Per-node encoding with an identity adjacency: no cross-node mixing."""
-    return _encode(params, x, None, dropout_mask)
+                    dropout_mask: Tensor | None = None, *,
+                    xw: Tensor | None = None) -> Tensor:
+    """Per-node encoding with an identity adjacency: no cross-node mixing.
+
+    `xw` is `first_layer_product(params, x)` when the caller already has it.
+    """
+    return _encode(params, x, None, dropout_mask, xw)
 
 
 def encode_contextual(params: ModelParams, x: Tensor, adj_hat,
-                      dropout_mask: Tensor | None = None) -> Tensor:
-    """Two aggregation rounds over the normalized adjacency, shared weights."""
-    return _encode(params, x, adj_hat, dropout_mask)
+                      dropout_mask: Tensor | None = None, *,
+                      xw: Tensor | None = None) -> Tensor:
+    """Two aggregation rounds over the normalized adjacency, shared weights.
+
+    `xw` is `first_layer_product(params, x)` when the caller already has it.
+    """
+    return _encode(params, x, adj_hat, dropout_mask, xw)
 
 
 def project(params: ModelParams, h: Tensor) -> Tensor:

@@ -66,9 +66,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._backward is not None
+
+
 def _result(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if any(_needs_grad(p) for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -76,7 +80,7 @@ def _result(data, parents, backward_fn) -> Tensor:
 
 
 def _accum(grads: dict, t: Tensor, g: np.ndarray):
-    if not (t.requires_grad or t._backward is not None):
+    if not _needs_grad(t):
         return
     key = id(t)
     if key in grads:
@@ -110,8 +114,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
 
     def backward(g, grads):
-        _accum(grads, a, g @ b.data.T)
-        _accum(grads, b, a.data.T @ g)
+        # a constant operand (the features in x @ enc_w1) takes no product
+        if _needs_grad(a):
+            _accum(grads, a, g @ b.data.T)
+        if _needs_grad(b):
+            _accum(grads, b, a.data.T @ g)
 
     return _result(a.data @ b.data, (a, b), backward)
 
@@ -383,61 +390,70 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     """Sum of the 2N symmetrized NT-Xent anchor losses for unit-row inputs.
 
-    Fused version of the composition
-        offdiag_sum_rows(exp_affine(zn @ zn.T)) + sum_rows(exp_affine(zn @ an.T))
-    and its mirror: one op with a hand-written backward that reuses the three
-    NxN buffers in place. At thousands of nodes the composed form allocates a
-    dozen NxN temporaries per call, and the allocation traffic dominates the
-    epoch time; this keeps it to three.
+    Anchor i of the forward direction contrasts zn[i] with every other row of
+    zn and every row of an, its positive being an[i]; the backward direction
+    mirrors it. Rows must already be L2-normalized (or zero), so similarities
+    are bounded by 1 and exp(t*s - t), with t = 1/tau, never overflows; the
+    constant shift is added back to the loss.
 
-    Rows must already be L2-normalized (or zero); similarities are then
-    bounded by 1 and exp((s - 1) / tau) is a stable kernel whose constant
-    shift is added back to the loss.
+    Forward: each of the three N x N blocks comes out of one GEMM already
+    scaled and shifted, [t*zn, -t] @ [x, 1]^T = t*s - t, and takes one
+    in-place exp. The positive terms are the diagonal of the shifted cross
+    block. The self-similarity diagonals are zeroed before the row sums:
+    subtracting them afterwards cancels catastrophically in float32 once the
+    negatives fall below about 1e-7 of the diagonal's 1 (small tau).
+
+    Backward: with per-row weights w = t / (row denominator), the gradient
+    through a symmetric self block E is
+    (E * (w_i + w_j)) @ x = w * (E @ x) + E @ (w * x), and the cross block
+    expands the same way. So each of e_zz, e_za, e_za^T and e_aa takes one
+    GEMM against an N x 2d operand [x, w * x], and the three N x N buffers
+    are the only N x N memory the op ever holds.
     """
     _check_same_shape(zn, an, "ntxent_view")
-    n = zn.rows
+    n, d = zn.shape
     if n < 2:
         raise ShapeError("ntxent_view needs at least 2 rows")
     t = float(inv_tau)
-    dt = zn.data.dtype
+    z, a = zn.data, an.data
+    dt = z.dtype
+    ct = dt.type(t)
 
-    def kernel(s):
-        s *= dt.type(t)
-        s -= dt.type(t)
-        np.exp(s, out=s)
-        return s
+    def gemm_operands(x):
+        x1 = np.hstack([x, np.ones((n, 1), dtype=dt)])
+        xt = x1 * ct
+        xt[:, d] = -ct
+        return xt, x1           # [t*x, -t] and [x, 1]
 
-    s_za = zn.data @ an.data.T
-    pos_diag = np.diagonal(s_za).copy()
-    e_za = kernel(s_za)          # s_za buffer reused; only the kernel survives
-    e_zz = kernel(zn.data @ zn.data.T)
-    e_aa = kernel(an.data @ an.data.T)
+    zt, z1 = gemm_operands(z)
+    at, a1 = gemm_operands(a)
+    e_za = zt @ a1.T
+    pos = np.diagonal(e_za).copy()      # t * (zn_i . an_i) - t
+    np.exp(e_za, out=e_za)
+    e_zz = zt @ z1.T
+    np.exp(e_zz, out=e_zz)
+    np.fill_diagonal(e_zz, 0.0)
+    e_aa = at @ a1.T
+    np.exp(e_aa, out=e_aa)
+    np.fill_diagonal(e_aa, 0.0)
 
-    d_fwd = e_zz.sum(axis=1) - np.diagonal(e_zz) + e_za.sum(axis=1)
-    d_bwd = e_aa.sum(axis=1) - np.diagonal(e_aa) + e_za.sum(axis=0)
-    total = float((np.log(d_fwd) + np.log(d_bwd) - 2.0 * t * pos_diag + 2.0 * t).sum())
+    d_fwd = e_zz.sum(axis=1) + e_za.sum(axis=1)
+    d_bwd = e_aa.sum(axis=1) + e_za.sum(axis=0)
+    total = float((np.log(d_fwd) + np.log(d_bwd) - 2.0 * pos).sum())
 
     def backward(g, grads):
         c = dt.type(g[0, 0])
-        w_fwd = (c * t / d_fwd).astype(dt)
-        w_bwd = (c * t / d_bwd).astype(dt)
-        # dS_zz = w_fwd_i * e_zz[i, j] off the diagonal; folded into e_zz
-        np.multiply(e_zz, w_fwd[:, None], out=e_zz)
-        np.fill_diagonal(e_zz, 0.0)
-        np.multiply(e_aa, w_bwd[:, None], out=e_aa)
-        np.fill_diagonal(e_aa, 0.0)
-        # dS_za = (w_fwd_i + w_bwd_j) * e_za[i, j] minus the positive pull
-        np.multiply(e_za, np.add.outer(w_fwd, w_bwd), out=e_za)
-        idx = np.arange(n)
-        e_za[idx, idx] -= 2.0 * c * t
-        dzn = e_zz @ zn.data
-        dzn += e_zz.T @ zn.data
-        dzn += e_za @ an.data
-        dan = e_aa @ an.data
-        dan += e_aa.T @ an.data
-        dan += e_za.T @ zn.data
-        _accum(grads, zn, dzn)
-        _accum(grads, an, dan)
+        w_fwd = (c * t / d_fwd).astype(dt)[:, None]
+        w_bwd = (c * t / d_bwd).astype(dt)[:, None]
+        xz = np.hstack([z, w_fwd * z])
+        xa = np.hstack([a, w_bwd * a])
+        pz = e_zz @ xz
+        pz += e_za @ xa
+        pa = e_aa @ xa
+        pa += e_za.T @ xz
+        pull = dt.type(2.0 * c * t)     # from the positive term -2t * s_ii
+        _accum(grads, zn, w_fwd * pz[:, :d] + pz[:, d:] - pull * a)
+        _accum(grads, an, w_bwd * pa[:, :d] + pa[:, d:] - pull * z)
 
     return _result(np.array([[total]], dtype=dt), (zn, an), backward)
 
@@ -460,7 +476,7 @@ def backward(loss: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and (p.requires_grad or p._backward is not None):
+            if id(p) not in seen and _needs_grad(p):
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.data.dtype)}

@@ -14,7 +14,8 @@ from .graph import Graph, normalized_adjacency_sparse
 from .losses import (ContrastConfig, ControllerConfig, contrast_terms,
                      controller_loss)
 from .model import (EmbeddingSet, ModelDims, ModelParams, controller_lambda,
-                    encode_contextual, encode_semantic, fuse, init_params)
+                    encode_contextual, encode_semantic, first_layer_product,
+                    fuse, init_params)
 from . import tensor as T
 from .tensor import AdamState, Tensor, adam_step
 
@@ -144,10 +145,11 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
                  for _ in range(4)]
 
         # contrast phase: omega and mu move, phi and lambda are frozen
-        h_s = encode_semantic(params, x, masks[0])
+        xw = first_layer_product(params, x)
+        h_s = encode_semantic(params, x, masks[0], xw=xw)
         h_s_aug = encode_semantic(params, x_aug, masks[1])
-        h_c = encode_contextual(params, x, adj, masks[2])
-        h_c_aug = encode_contextual(params, x, adj_aug, masks[3])
+        h_c = encode_contextual(params, x, adj, masks[2], xw=xw)
+        h_c_aug = encode_contextual(params, x, adj_aug, masks[3], xw=xw)
         if cfg.fixed_lambda is not None:
             lam_const = Tensor(np.full((n, 1), cfg.fixed_lambda, dtype=dtype))
         else:
@@ -168,6 +170,7 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
                 raise TrainingDiverged(epoch, "contrast")
             loss_val += val
             T.backward(term)
+            del term    # frees this view's NxN buffers before the next view's
         _step(cparams, contrast_state, cfg.lr)
         if phase_hook is not None:
             phase_hook(epoch, "contrast", params)
@@ -175,8 +178,9 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
         # controller phase: phi moves against detached clean embeddings
         ctrl_val = 0.0
         if train_ctrl:
-            h_s_clean = encode_semantic(params, x)
-            h_c_clean = encode_contextual(params, x, adj)
+            xw = first_layer_product(params, x)
+            h_s_clean = encode_semantic(params, x, xw=xw)
+            h_c_clean = encode_contextual(params, x, adj, xw=xw)
             weights = controller_lambda(params, h_s_clean, h_c_clean, g.degree)
             closs = controller_loss(weights, h_s_clean, h_c_clean, cfg.controller)
             ctrl_val = closs.item()
@@ -214,8 +218,9 @@ def embed(g: Graph, params: ModelParams, fixed_lambda: float | None = None) -> T
     """Deterministic inference: fused representations on the unperturbed graph."""
     x = Tensor(g.features.astype(params.enc_w1.data.dtype))
     adj = normalized_adjacency_sparse(g).astype(x.data.dtype)
-    h_s = encode_semantic(params, x)
-    h_c = encode_contextual(params, x, adj)
+    xw = first_layer_product(params, x)
+    h_s = encode_semantic(params, x, xw=xw)
+    h_c = encode_contextual(params, x, adj, xw=xw)
     if fixed_lambda is not None:
         lam = Tensor(np.full((g.n_nodes, 1), fixed_lambda, dtype=x.data.dtype))
     else:

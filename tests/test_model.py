@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from nodefuse import (ModelDims, Tensor, build_graph, controller_lambda,
-                      encode_contextual, encode_semantic, fuse, init_params,
-                      load_checkpoint, normalized_adjacency, project,
-                      save_checkpoint)
+from nodefuse import (ModelDims, Tensor, backward, build_graph,
+                      controller_lambda, drop_edges, encode_contextual,
+                      encode_semantic, fuse, init_params, load_checkpoint,
+                      normalized_adjacency, project, save_checkpoint)
+from nodefuse import tensor as T
 from nodefuse.errors import ContractError
-from nodefuse.model import degree_feature
+from nodefuse.graph import normalized_adjacency_sparse
+from nodefuse.model import degree_feature, first_layer_product
 
 from conftest import random_graph
 
@@ -77,7 +79,6 @@ class TestEncodeContextual:
         assert np.array_equal(out.data, np.zeros((4, 5)))
 
     def test_sparse_and_dense_paths_agree(self, params):
-        from nodefuse.graph import normalized_adjacency_sparse
         rng = np.random.default_rng(6)
         g = random_graph(rng, n=9, f=8)
         x = Tensor(g.features)
@@ -192,6 +193,32 @@ def test_view_sharing_same_encoder(params):
     params.enc_w1.data += 0.1
     assert not np.array_equal(encode_semantic(params, x).data, sem_before)
     assert not np.array_equal(encode_contextual(params, x, adj).data, ctx_before)
+
+
+def test_shared_first_layer_product_matches_separate_products(params):
+    rng = np.random.default_rng(19)
+    g = random_graph(rng, n=6, f=8)
+    x = Tensor(g.features)
+    adj = normalized_adjacency_sparse(g)
+    adj_aug = normalized_adjacency_sparse(drop_edges(g, 0.3, rng))
+    masks = [Tensor(rng.uniform(0.0, 2.0, size=(6, 5))) for _ in range(3)]
+    enc = params.encoder_params()
+
+    def run(shared: bool):
+        for t in enc.values():
+            t.grad = None
+        xw = first_layer_product(params, x) if shared else None
+        hs = [encode_semantic(params, x, masks[0], xw=xw),
+              encode_contextual(params, x, adj, masks[1], xw=xw),
+              encode_contextual(params, x, adj_aug, masks[2], xw=xw)]
+        loss = T.sum_all(T.mul(hs[0], hs[0]))
+        for k, h in enumerate(hs[1:], start=2):
+            loss = T.add(loss, T.scale(T.sum_all(T.mul(h, h)), k))
+        backward(loss)
+        return [h.data for h in hs] + [enc[name].grad for name in sorted(enc)]
+
+    for separate, shared in zip(run(False), run(True)):
+        assert np.abs(shared - separate).max() <= 1e-12 * max(1.0, np.abs(separate).max())
 
 
 def test_checkpoint_round_trip(tmp_path, params):

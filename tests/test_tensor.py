@@ -35,6 +35,24 @@ class TestMatmul:
         out = T.matmul(Tensor(a), Tensor(b))
         assert np.abs(out.data - expect).max() < 1e-12
 
+    def test_constant_operand_takes_no_gradient(self):
+        rng = np.random.default_rng(9)
+        a0 = rng.normal(size=(4, 5))
+        b0 = rng.normal(size=(5, 3))
+
+        def grads(a_grad, b_grad):
+            a = Tensor(a0, requires_grad=a_grad)
+            b = Tensor(b0, requires_grad=b_grad)
+            backward(T.sum_all(T.sigmoid(T.matmul(a, b))))
+            return a.grad, b.grad
+
+        both_a, both_b = grads(True, True)
+        const_a, only_b = grads(False, True)
+        only_a, const_b = grads(True, False)
+        assert const_a is None and const_b is None
+        assert np.array_equal(only_b, both_b)
+        assert np.array_equal(only_a, both_a)
+
     def test_dimension_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
@@ -226,6 +244,58 @@ class TestReductionsAndStructure:
         assert np.abs(np.linalg.norm(out.data[1]) - 1.0) < 1e-12
         backward(T.sum_all(out))
         assert np.array_equal(x.grad[0], [0.0, 0.0])
+
+
+def unit_rows(rng, n, d):
+    x = rng.normal(size=(n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def ntxent_and_grads(z, a, tau):
+    zt = Tensor(z, requires_grad=True)
+    at = Tensor(a, requires_grad=True)
+    out = T.ntxent_view(zt, at, 1.0 / tau)
+    backward(out)
+    return out.item(), zt.grad, at.grad
+
+
+class TestNtxentView:
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 1.5])
+    def test_gradients_match_finite_differences(self, tau):
+        rng = np.random.default_rng(31)
+        z = unit_rows(rng, 8, 4)
+        a = unit_rows(rng, 8, 4)
+        z[5] = 0.0   # a zero row, as normalize_rows leaves a zero embedding
+        _, gz, ga = ntxent_and_grads(z, a, tau)
+        h = 1e-6
+        for x, analytic in ((z, gz), (a, ga)):
+            fd = np.zeros_like(x)
+            for idx in np.ndindex(x.shape):
+                orig = x[idx]
+                x[idx] = orig + h
+                up = T.ntxent_view(Tensor(z), Tensor(a), 1.0 / tau).item()
+                x[idx] = orig - h
+                down = T.ntxent_view(Tensor(z), Tensor(a), 1.0 / tau).item()
+                x[idx] = orig
+                fd[idx] = (up - down) / (2 * h)
+            rel = np.abs(analytic - fd) / np.maximum(
+                np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
+            assert rel.max() < 1e-4
+
+    @pytest.mark.parametrize("tau", [0.5, 0.05, 0.02])
+    def test_float32_matches_float64(self, tau):
+        # at small tau the negatives fall below float32's resolution of the
+        # self-similarity term 1; they must not cancel against it
+        rng = np.random.default_rng(32)
+        z = unit_rows(rng, 64, 16).astype(np.float32)
+        a = unit_rows(rng, 64, 16).astype(np.float32)
+        l32, gz32, ga32 = ntxent_and_grads(z, a, tau)
+        l64, gz64, ga64 = ntxent_and_grads(z.astype(np.float64),
+                                           a.astype(np.float64), tau)
+        assert abs(l32 - l64) <= 1e-5 * abs(l64)
+        for g32, g64 in ((gz32, gz64), (ga32, ga64)):
+            assert g32.dtype == np.float32
+            assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
 
 
 class TestAdam:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
                       TrainConfig, Tensor, embed, encode_semantic, train)
+from nodefuse import tensor as T
 from nodefuse.errors import ContractError
 
 from conftest import random_graph
@@ -146,3 +149,25 @@ class TestConfigValidation:
         report = train(graph, small_cfg(epochs=2, precision="float32"))
         assert report.params.enc_w1.data.dtype == np.float32
         assert embed(graph, report.params).data.dtype == np.float32
+
+
+def test_one_view_of_ntxent_buffers_live_at_a_time(monkeypatch):
+    # each view's NT-Xent holds three N x N buffers until its backward has
+    # run; they must be freed before the next view allocates its own
+    n = 300
+    g = random_graph(np.random.default_rng(5), n=n, f=10, p_edge=0.02)
+    live = []
+    kernel = T.ntxent_view
+
+    def recording(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(T, "ntxent_view", recording)
+    tracemalloc.start()
+    try:
+        train(g, small_cfg(epochs=1))
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 3
+    assert max(live) - live[0] < n * n * 8
