@@ -15,7 +15,6 @@ from .tensor import Tensor
 class AugmentConfig:
     p_s: float = 0.3       # feature mask probability
     p_c: float = 0.3       # edge drop probability
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p_s < 1.0 and 0.0 <= self.p_c < 1.0):

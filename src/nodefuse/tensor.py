@@ -128,10 +128,11 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     adj = adj.tocsr()
     if adj.shape[1] != x.rows:
         raise ShapeError(f"spmm: inner dims of {adj.shape} and {x.shape} differ")
-    adj_t = adj.T.tocsr()
 
     def backward(g, grads):
-        _accum(grads, x, adj_t @ g)
+        # Built here, not per call: the controller phase and embed never
+        # run this backward.
+        _accum(grads, x, adj.T.tocsr() @ g)
 
     return _result(adj @ x.data, (x,), backward)
 

@@ -32,6 +32,39 @@ def write_dataset(d: Path, n_nodes, edges, features, labels=None,
     return d
 
 
+def _rewrite(filename, edit):
+    def apply(d: Path):
+        path = d / filename
+        path.write_text(edit(path.read_text()))
+    return apply
+
+
+def _drop_meta_key(key):
+    return _rewrite("meta.json", lambda t: json.dumps(
+        {k: v for k, v in json.loads(t).items() if k != key}))
+
+
+# Edits that turn a valid labeled dataset directory into one that
+# load_graph must reject with a FormatError.
+MALFORMED = {
+    "edges_comment_line": _rewrite("edges.tsv", lambda t: "# i j\n" + t),
+    "edges_non_integer": _rewrite("edges.tsv", lambda t: t + "3\tfour\n"),
+    "edges_float_index": _rewrite("edges.tsv", lambda t: t + "3\t4.0\n"),
+    "edges_one_column": _rewrite("edges.tsv", lambda t: "0\n1\n"),
+    "edges_three_columns": _rewrite("edges.tsv", lambda t: "0\t1\t2\n"),
+    "edges_ragged_line": _rewrite("edges.tsv", lambda t: t + "3\n"),
+    "features_non_numeric": _rewrite("features.csv",
+                                     lambda t: "abc" + t[t.index(","):]),
+    "features_nan": _rewrite("features.csv", lambda t: "nan" + t[t.index(","):]),
+    "features_inf": _rewrite("features.csv", lambda t: "-inf" + t[t.index(","):]),
+    "labels_non_numeric": _rewrite("labels.txt", lambda t: "x" + t[t.index("\n"):]),
+    "meta_not_json": _rewrite("meta.json", lambda t: t[:-1]),
+    "meta_missing_n_nodes": _drop_meta_key("n_nodes"),
+    "meta_missing_n_features": _drop_meta_key("n_features"),
+    "meta_missing_n_classes": _drop_meta_key("n_classes"),
+}
+
+
 def dataset_dir(name: str) -> Path | None:
     """Benchmark dataset in canonical layout, or None if not provided."""
     d = DATA_ROOT / name

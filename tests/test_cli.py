@@ -5,7 +5,7 @@ import pytest
 
 from nodefuse.cli import main
 
-from conftest import random_graph, write_dataset
+from conftest import MALFORMED, random_graph, write_dataset
 
 
 @pytest.fixture
@@ -152,3 +152,20 @@ class TestAnalyze:
         main(["analyze", "--dataset", str(dataset), "--out", str(out_b)])
         assert ((out_a / "similarity_histogram.json").read_bytes()
                 == (out_b / "similarity_histogram.json").read_bytes())
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+class TestMalformedDataset:
+    def test_train_exits_2(self, tmp_path, dataset, case, capsys):
+        MALFORMED[case](dataset)
+        cfg = write_config(tmp_path, dataset)
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_exits_2(self, tmp_path, dataset, case, capsys):
+        MALFORMED[case](dataset)
+        rc = main(["analyze", "--dataset", str(dataset), "--out", str(tmp_path / "an")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodefuse import (Tensor, build_graph, load_graph, make_splits,
                       neighborhood_similarity, normalized_adjacency,
@@ -7,7 +12,7 @@ from nodefuse import (Tensor, build_graph, load_graph, make_splits,
 from nodefuse.errors import ContractError, FormatError, LoadError
 from nodefuse.graph import _largest_remainder_sizes
 
-from conftest import random_graph, write_dataset
+from conftest import MALFORMED, random_graph, write_dataset
 
 
 class TestLoadGraph:
@@ -60,10 +65,102 @@ class TestLoadGraph:
         assert np.array_equal(g2.labels, g.labels)
         assert np.array_equal(g2.degree, g.degree)
 
+    def test_blank_lines_between_edges(self, tmp_path):
+        d = write_dataset(tmp_path / "toy", 3, [], np.zeros((3, 2)))
+        (d / "edges.tsv").write_text("\n0\t1\n\n  \n1 2\n\n")
+        g = load_graph(d)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.n_dropped_lines == 0
+
+    def test_empty_edge_file(self, tmp_path):
+        d = write_dataset(tmp_path / "toy", 3, [], np.zeros((3, 2)))
+        assert (d / "edges.tsv").read_text() == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_graph(d)
+        assert g.edges.shape == (0, 2)
+        assert g.degree.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_format_error(self, tmp_path, case):
+        rng = np.random.default_rng(9)
+        g = random_graph(rng, n=8, f=3)
+        d = write_dataset(tmp_path / "toy", 8, [tuple(e) for e in g.edges],
+                          g.features, labels=g.labels, n_classes=3)
+        MALFORMED[case](d)
+        with pytest.raises(FormatError):
+            load_graph(d)
+
+    @pytest.mark.parametrize("key", ["n_nodes", "n_features", "n_classes"])
+    def test_missing_meta_key_named(self, tmp_path, key):
+        d = write_dataset(tmp_path / "toy", 2, [(0, 1)], np.zeros((2, 2)))
+        MALFORMED[f"meta_missing_{key}"](d)
+        with pytest.raises(FormatError, match=key):
+            load_graph(d)
+
     def test_degree_consistency(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, n=30, p_edge=0.15)
         assert g.degree.sum() == 2 * g.n_edges
+
+
+def reference_canonical_edges(n_nodes, edge_list):
+    """Set-based canonicalization: (sorted edges, degree, dropped count)."""
+    seen, dropped = set(), 0
+    for i, j in edge_list:
+        key = (min(i, j), max(i, j))
+        if i == j or key in seen:
+            dropped += 1
+        else:
+            seen.add(key)
+    edges = sorted(seen)
+    degree = [0] * n_nodes
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    return edges, degree, dropped
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """(n_nodes, pairs) with self-loops, duplicates and reversed repeats."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
+    if pairs:
+        repeats = draw(st.lists(
+            st.tuples(st.integers(0, len(pairs) - 1), st.booleans()), max_size=20))
+        pairs += [pairs[k][::-1] if flip else pairs[k] for k, flip in repeats]
+    return n, draw(st.permutations(pairs))
+
+
+class TestBuildGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_edge_lists(), st.booleans())
+    @example((3, []), False)
+    @example((3, []), True)
+    def test_matches_set_reference(self, case, as_array):
+        n, pairs = case
+        edges, degree, dropped = reference_canonical_edges(n, pairs)
+        arg = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+        g = build_graph(n, arg, np.zeros((n, 1)))
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.degree.dtype == np.int64
+        assert g.degree.tolist() == degree
+        assert g.n_dropped_lines == dropped
+
+    @pytest.mark.parametrize("first_bad", [(5, 0), (-1, 2)])
+    def test_first_out_of_range_edge_named(self, first_bad):
+        edge_list = [(0, 1), (1, 1), first_bad, (0, 7), (9, 9)]
+        with pytest.raises(FormatError, match=re.escape(f"edge {first_bad} ")):
+            build_graph(3, edge_list, np.zeros((3, 1)))
+
+    def test_non_finite_feature_located(self):
+        feats = np.zeros((3, 2))
+        feats[2, 1] = np.inf
+        with pytest.raises(FormatError, match="row 2, column 1"):
+            build_graph(3, [(0, 1)], feats)
 
 
 class TestNormalizedAdjacency:
