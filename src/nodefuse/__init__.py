@@ -10,7 +10,7 @@ from .evaluation import (ClassificationResult, ClusteringResult, ari,
                          clustering_accuracy, evaluate_clustering, kmeans,
                          linear_probe, nmi)
 from .graph import (Graph, Split, build_graph, load_graph, make_splits,
-                    neighborhood_similarity, normalized_adjacency, write_graph)
+                    neighborhood_similarity, write_graph)
 from .losses import (ContrastConfig, ControllerConfig, contrast_loss,
                      controller_loss, ntxent_pair_loss, view_loss)
 from .model import (EmbeddingSet, FusionWeights, ModelDims, ModelParams,
@@ -31,7 +31,6 @@ __all__ = [
     "controller_loss", "drop_edges", "embed", "encode_contextual",
     "encode_semantic", "evaluate_clustering", "fuse", "init_params", "kmeans",
     "linear_probe", "load_checkpoint", "load_graph", "make_splits",
-    "mask_features", "neighborhood_similarity", "nmi", "normalized_adjacency",
-    "ntxent_pair_loss", "project", "save_checkpoint", "train", "view_loss",
-    "write_graph",
+    "mask_features", "neighborhood_similarity", "nmi", "ntxent_pair_loss",
+    "project", "save_checkpoint", "train", "view_loss", "write_graph",
 ]

@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import ContractError
 from .graph import Graph
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,9 @@ def mask_features(x, p_s: float, rng: np.random.Generator):
     """
     if not 0.0 <= p_s < 1.0:
         raise ContractError(f"p_s must lie in [0, 1), got {p_s}")
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    mask = (rng.random(arr.shape[1]) >= p_s).astype(arr.dtype)
-    out = arr * mask
-    return Tensor(out) if isinstance(x, Tensor) else out
+    x = np.asarray(x)
+    mask = (rng.random(x.shape[1]) >= p_s).astype(x.dtype)
+    return x * mask
 
 
 def drop_edges(g: Graph, p_c: float, rng: np.random.Generator) -> Graph:

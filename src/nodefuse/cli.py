@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .augment import AugmentConfig
-from .errors import ContractError, FormatError, LoadError, NodefuseError, TrainingDiverged
+from .errors import (CheckpointError, ContractError, LoadError, NodefuseError,
+                     TrainingDiverged)
 from .evaluation import evaluate_clustering, linear_probe
 from .graph import load_graph, make_splits, neighborhood_similarity
 from .losses import ContrastConfig, ControllerConfig
@@ -21,6 +23,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_MISMATCH = 4
+
+# main's only error handler; the first class that matches sets the exit code
+_EXIT_CODES = ((CheckpointError, EXIT_MISMATCH), (TrainingDiverged, EXIT_DIVERGED),
+               (NodefuseError, EXIT_CONFIG))
 
 
 class ConfigError(NodefuseError):
@@ -71,6 +77,8 @@ def _check_keys(cfg: dict, schema: dict, prefix: str = ""):
                     f"config field {prefix}{key} has wrong type "
                     f"{type(val).__name__}"
                 )
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"config field {prefix}{key} must be finite, got {val}")
 
 
 def load_config(path) -> dict:
@@ -86,59 +94,50 @@ def load_config(path) -> dict:
     _check_keys(cfg, _SCHEMA)
     if "dataset_dir" not in cfg:
         raise ConfigError("missing config field: dataset_dir")
-    abl = cfg.get("ablation", {})
-    if (abl.get("disable_semantic_contrast") and abl.get("disable_context_contrast")
-            and abl.get("disable_fusion_contrast")):
-        raise ConfigError("all three contrast terms are disabled; nothing to optimize")
     return cfg
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
-    tr = cfg.get("train", {})
+    """A TrainConfig from the fields the config sets; TrainConfig has the defaults."""
+    kwargs = dict(cfg.get("train", {}))
+    for key in ("seed", "precision"):
+        if key in cfg:
+            kwargs[key] = cfg[key]
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
     abl = cfg.get("ablation", {})
-    dims = tr.get("dims", [256, 64, 30])
-    if len(dims) != 3:
-        raise ConfigError("train.dims must be [f_embed, f_proj, f_filter]")
+    for view in ("semantic", "context", "fusion"):
+        if f"disable_{view}_contrast" in abl:
+            kwargs[f"include_{view}"] = not abl[f"disable_{view}_contrast"]
+    if "fixed_lambda" in abl:
+        kwargs["fixed_lambda"] = abl["fixed_lambda"]
     try:
-        return TrainConfig(
-            lr=tr.get("lr", 0.005),
-            lr_controller=tr.get("lr_controller", 0.001),
-            epochs=tr.get("epochs", 500),
-            dropout=tr.get("dropout", 0.2),
-            seed=seed_override if seed_override is not None else cfg.get("seed", 0),
-            contrast=ContrastConfig(**cfg.get("contrast", {})),
-            controller=ControllerConfig(**cfg.get("controller", {})),
-            augment=AugmentConfig(**cfg.get("augment", {})),
-            dims=tuple(int(d) for d in dims),
-            patience=tr.get("patience", 50),
-            precision=cfg.get("precision", "float64"),
-            include_semantic=not abl.get("disable_semantic_contrast", False),
-            include_context=not abl.get("disable_context_contrast", False),
-            include_fusion=not abl.get("disable_fusion_contrast", False),
-            fixed_lambda=abl.get("fixed_lambda"),
-        )
-    except (ContractError, TypeError) as exc:
+        if "dims" in kwargs:
+            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
+        return TrainConfig(contrast=ContrastConfig(**cfg.get("contrast", {})),
+                           controller=ControllerConfig(**cfg.get("controller", {})),
+                           augment=AugmentConfig(**cfg.get("augment", {})),
+                           **kwargs)
+    except (ContractError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _parse_ratio(text: str) -> tuple[float, float, float]:
+    """'48/32/20' as train/val/test fractions; make_splits checks their range."""
+    try:
+        train, val, test = (float(r) for r in text.split("/"))
+        total = train + val + test
+        return train / total, val / total, test / total
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--ratio must be a/b/c with a nonzero sum, got {text!r}") from None
+
+
 def cmd_train(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        tcfg = build_train_config(cfg, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    tcfg = build_train_config(cfg, seed_override=args.seed)
     out_dir = Path(args.out or cfg.get("output_dir", "."))
-    try:
-        g = load_graph(cfg["dataset_dir"])
-    except (LoadError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = train(g, tcfg)
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    g = load_graph(cfg["dataset_dir"])
+    report = train(g, tcfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(report.params, out_dir / "model.ckpt")
     (out_dir / "train_report.jsonl").write_text(report.to_jsonl())
@@ -151,27 +150,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        params = load_checkpoint(args.checkpoint)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
-        g = load_graph(args.dataset)
-    except (LoadError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    ratio = _parse_ratio(args.ratio)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    params = load_checkpoint(args.checkpoint)
+    g = load_graph(args.dataset)
+    if g.labels is None:
+        raise LoadError(f"eval needs labels: {Path(args.dataset) / 'labels.txt'} is missing")
     if g.n_features != params.dims.f_in:
-        print(f"error: dataset has {g.n_features} features but the checkpoint "
-              f"expects {params.dims.f_in}", file=sys.stderr)
-        return EXIT_MISMATCH
+        raise CheckpointError(f"dataset has {g.n_features} features but the checkpoint "
+                              f"{args.checkpoint} expects {params.dims.f_in}")
     reps = embed(g, params, fixed_lambda=args.fixed_lambda)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     if args.task == "classify":
-        ratio = tuple(float(r) for r in args.ratio.split("/"))
-        ratio = tuple(r / sum(ratio) for r in ratio)
         splits = make_splits(g, ratio, n_splits=args.n_splits, seed=args.seed)
         result = linear_probe(reps, g.labels, splits, seed=args.seed)
         records.append({"dataset": g.name, "task": "classify", "metric": "accuracy",
@@ -195,11 +188,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = load_graph(args.dataset)
-    except (LoadError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    g = load_graph(args.dataset)
     sims, isolated = neighborhood_similarity(g)
     counts, edges = np.histogram(sims[~isolated], bins=50, range=(-1.0, 1.0))
     out_dir = Path(args.out or ".")
@@ -252,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NodefuseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,10 @@ class ContractError(NodefuseError):
     """A caller-facing precondition was violated."""
 
 
+class CheckpointError(ContractError):
+    """A checkpoint file is missing, unreadable, or does not fit the dataset."""
+
+
 class LoadError(NodefuseError):
     """A dataset directory is missing required files."""
 

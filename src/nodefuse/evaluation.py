@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError
 from .graph import Split
-from .tensor import Tensor
+from .tensor import AdamState, Tensor, adam_step
 
 
 @dataclass
@@ -69,23 +69,17 @@ def linear_probe(embeddings, labels, splits: list[Split], lr: float = 0.01,
         onehot = np.eye(n_classes)[ytr]
         w = rng.normal(0.0, 0.01, size=(x.shape[1], n_classes))
         b = np.zeros((1, n_classes))
-        m = {"w": np.zeros_like(w), "b": np.zeros_like(b)}
-        v = {"w": np.zeros_like(w), "b": np.zeros_like(b)}
+        state = AdamState()
         best_val = -1.0
         best = (w.copy(), b.copy())
         has_val = len(split.val) > 0
         xval, yval = x[split.val], y[split.val]
-        for t in range(1, epochs + 1):
+        for _ in range(epochs):
             p = _softmax(xtr @ w + b)
             diff = (p - onehot) / len(xtr)
-            grads = {"w": xtr.T @ diff, "b": diff.sum(axis=0, keepdims=True)}
-            for name, param in (("w", w), ("b", b)):
-                g = grads[name]
-                m[name] = 0.9 * m[name] + 0.1 * g
-                v[name] = 0.999 * v[name] + 0.001 * g * g
-                mh = m[name] / (1.0 - 0.9 ** t)
-                vh = v[name] / (1.0 - 0.999 ** t)
-                param -= lr * mh / (np.sqrt(vh) + 1e-8)
+            adam_step({"w": w, "b": b},
+                      {"w": xtr.T @ diff, "b": diff.sum(axis=0, keepdims=True)},
+                      state, lr)
             if has_val:
                 val_pred = (xval @ w + b).argmax(axis=1)
                 val_acc = float((val_pred == yval).mean())
@@ -157,6 +151,8 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10,
     n = len(x)
     if not 1 <= k <= n:
         raise ContractError(f"k must lie in [1, {n}], got {k}")
+    if restarts < 1:
+        raise ContractError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     best_assign = None
     best_score = np.inf

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, FormatError, LoadError, SplitError
-from .tensor import Tensor
 
 _META_KEYS = ("n_nodes", "n_features", "n_classes")
 
@@ -135,10 +134,6 @@ def load_graph(dataset_dir) -> Graph:
     edge_list = _loadtxt(edges_path, np.int64, ndmin=2, comments=None)
 
     features = _loadtxt(feat_path, np.float64, delimiter=",", ndmin=2)
-    if features.shape[0] != n:
-        raise FormatError(
-            f"features.csv has {features.shape[0]} rows, expected {n}"
-        )
     if features.shape[1] != n_features:
         raise FormatError(
             f"features.csv has {features.shape[1]} columns, "
@@ -149,8 +144,6 @@ def load_graph(dataset_dir) -> Graph:
     labels_path = d / "labels.txt"
     if labels_path.is_file():
         labels = _loadtxt(labels_path, np.int64, ndmin=1)
-        if labels.shape[0] != n:
-            raise FormatError(f"labels.txt has {labels.shape[0]} lines, expected {n}")
 
     return build_graph(n, edge_list, features, labels=labels,
                        n_classes=n_classes,
@@ -177,8 +170,6 @@ def write_graph(g: Graph, dataset_dir):
 
 def adjacency_sparse(g: Graph) -> sp.csr_matrix:
     """Symmetric binary adjacency (no self-loops)."""
-    if g.n_edges == 0:
-        return sp.csr_matrix((g.n_nodes, g.n_nodes), dtype=np.float64)
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     vals = np.ones(len(rows), dtype=np.float64)
@@ -196,10 +187,6 @@ def normalized_adjacency_sparse(g: Graph, add_self_loops: bool = True) -> sp.csr
     return (d_inv @ a @ d_inv).tocsr()
 
 
-def normalized_adjacency(g: Graph, add_self_loops: bool = True) -> Tensor:
-    return Tensor(normalized_adjacency_sparse(g, add_self_loops).toarray())
-
-
 def _largest_remainder_sizes(n: int, ratio) -> list[int]:
     raw = [r * n for r in ratio]
     sizes = [int(np.floor(x)) for x in raw]
@@ -214,8 +201,10 @@ def make_splits(g: Graph, ratio, n_splits: int, seed: int) -> list[Split]:
     """Independent shuffled splits; every class must appear in train."""
     if g.labels is None:
         raise ContractError("make_splits requires a labeled graph")
-    if any(r < 0 for r in ratio) or abs(sum(ratio) - 1.0) > 1e-9:
+    if not (all(r >= 0 for r in ratio) and abs(sum(ratio) - 1.0) <= 1e-9):  # NaN fails
         raise ContractError(f"split ratio must be nonnegative and sum to 1, got {ratio}")
+    if n_splits < 1:
+        raise ContractError(f"n_splits must be >= 1, got {n_splits}")
     n = g.n_nodes
     n_train, n_val, n_test = _largest_remainder_sizes(n, ratio)
     classes = np.unique(g.labels)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError
+from .errors import CheckpointError, ContractError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -46,12 +47,10 @@ class ModelParams:
     def encoder_params(self) -> dict[str, Tensor]:
         return {"enc_w1": self.enc_w1, "enc_w2": self.enc_w2}
 
-    def projector_params(self) -> dict[str, Tensor]:
-        return {"proj_w1": self.proj_w1, "proj_b1": self.proj_b1,
-                "proj_w2": self.proj_w2, "proj_b2": self.proj_b2}
-
     def contrast_params(self) -> dict[str, Tensor]:
-        return {**self.encoder_params(), **self.projector_params()}
+        return {**self.encoder_params(),
+                "proj_w1": self.proj_w1, "proj_b1": self.proj_b1,
+                "proj_w2": self.proj_w2, "proj_b2": self.proj_b2}
 
     def controller_params(self) -> dict[str, Tensor]:
         return {"filt_s": self.filt_s, "filt_c": self.filt_c,
@@ -119,8 +118,6 @@ def init_params(rng: np.random.Generator, dims: ModelDims) -> ModelParams:
 def _aggregate(adj, x: Tensor) -> Tensor:
     if adj is None:
         return x
-    if isinstance(adj, Tensor):
-        return T.matmul(adj, x)
     if sp.issparse(adj):
         return T.spmm(adj, x)
     raise ContractError(f"unsupported adjacency type {type(adj).__name__}")
@@ -230,11 +227,17 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a `save_checkpoint` file; any unreadable one is a CheckpointError."""
     path = Path(path)
     if not path.is_file():
-        raise ContractError(f"checkpoint not found: {path}")
-    with np.load(path) as data:
-        dims = ModelDims(*(int(v) for v in data["__dims__"]))
-        kwargs = {name: Tensor(data[name], requires_grad=True)
-                  for name in data.files if name != "__dims__"}
+        raise CheckpointError(f"checkpoint not found: {path}")
+    names = [f.name for f in fields(ModelParams) if f.name != "dims"]
+    try:
+        # a handle of our own: np.load leaks the one it opens on a corrupt archive
+        with open(path, "rb") as fh, np.load(fh) as data:
+            dims = ModelDims(*(int(v) for v in data["__dims__"]))
+            kwargs = {name: Tensor(data[name], requires_grad=True) for name in names}
+    except (OSError, EOFError, ValueError, KeyError, TypeError,
+            NotImplementedError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path} is not a valid checkpoint: {exc}") from exc
     return ModelParams(dims=dims, **kwargs)

@@ -8,6 +8,7 @@ meaningful; float32 is accepted for fast training runs.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -58,9 +59,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -147,16 +145,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
-
-    def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.shape))
-        _accum(grads, b, -_unbroadcast(g, b.shape))
-
-    return _result(a.data - b.data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
 
@@ -191,37 +179,6 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g, grads):
         _accum(grads, a, g * mask)
-
-    return _result(out, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g, grads):
-        _accum(grads, a, g * out)
-
-    return _result(out, (a,), backward)
-
-
-def exp_affine(a: Tensor, mult: float, shift: float) -> Tensor:
-    """exp(mult * a + shift) in one fused op (hot path of the NT-Xent)."""
-    mult = float(mult)
-    out = np.exp(mult * a.data + shift)
-
-    def backward(g, grads):
-        _accum(grads, a, (mult * g) * out)
-
-    return _result(out, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive input")
-    out = np.log(a.data)
-
-    def backward(g, grads):
-        _accum(grads, a, g / a.data)
 
     return _result(out, (a,), backward)
 
@@ -281,63 +238,6 @@ def sum_rows(a: Tensor) -> Tensor:
     return _result(a.data.sum(axis=1, keepdims=True), (a,), backward)
 
 
-def sum_cols(a: Tensor) -> Tensor:
-    """Column sums as a 1xM row."""
-
-    def backward(g, grads):
-        _accum(grads, a, np.broadcast_to(g, a.shape).copy())
-
-    return _result(a.data.sum(axis=0, keepdims=True), (a,), backward)
-
-
-def offdiag_sum_rows(a: Tensor) -> Tensor:
-    """Row sums of a square matrix with the diagonal excluded, as Nx1."""
-    if a.rows != a.cols:
-        raise ShapeError(f"offdiag_sum_rows: matrix {a.shape} is not square")
-    d = np.diagonal(a.data).reshape(-1, 1)
-
-    def backward(g, grads):
-        full = np.broadcast_to(g, a.shape).copy()
-        np.fill_diagonal(full, 0.0)
-        _accum(grads, a, full)
-
-    return _result(a.data.sum(axis=1, keepdims=True) - d, (a,), backward)
-
-
-def offdiag_sum_cols(a: Tensor) -> Tensor:
-    """Column sums of a square matrix with the diagonal excluded, as Nx1."""
-    if a.rows != a.cols:
-        raise ShapeError(f"offdiag_sum_cols: matrix {a.shape} is not square")
-    d = np.diagonal(a.data).reshape(-1, 1)
-
-    def backward(g, grads):
-        full = np.broadcast_to(g.T, a.shape).copy()
-        np.fill_diagonal(full, 0.0)
-        _accum(grads, a, full)
-
-    return _result(a.data.sum(axis=0).reshape(-1, 1) - d, (a,), backward)
-
-
-def diag_part(a: Tensor) -> Tensor:
-    """Diagonal of a square matrix as Nx1."""
-    if a.rows != a.cols:
-        raise ShapeError(f"diag_part: matrix {a.shape} is not square")
-
-    def backward(g, grads):
-        full = np.zeros_like(a.data)
-        np.fill_diagonal(full, g[:, 0])
-        _accum(grads, a, full)
-
-    return _result(np.diagonal(a.data).reshape(-1, 1).copy(), (a,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def backward(g, grads):
-        _accum(grads, a, g.T)
-
-    return _result(a.data.T.copy(), (a,), backward)
-
-
 def concat_cols(tensors) -> Tensor:
     tensors = list(tensors)
     n = tensors[0].rows
@@ -388,6 +288,19 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     return sum_rows(mul(normalize_rows(a), normalize_rows(b)))
 
 
+def _mapped_square(n: int, dtype: np.dtype) -> np.ndarray:
+    """An n x n array on a private mapping of its own, unmapped when freed.
+
+    From malloc, a block this large lands in a hole that freed tape arrays
+    left in the heap or on a new mapping, and which one changed between
+    identical training runs, moving their peak RSS by one block.
+    """
+    buf = mmap.mmap(-1, n * n * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)     # as numpy asks for its large blocks
+    return np.frombuffer(buf, dtype).reshape(n, n)
+
+
 def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     """Sum of the 2N symmetrized NT-Xent anchor losses for unit-row inputs.
 
@@ -428,13 +341,13 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
 
     zt, z1 = gemm_operands(z)
     at, a1 = gemm_operands(a)
-    e_za = zt @ a1.T
+    e_za = np.matmul(zt, a1.T, out=_mapped_square(n, dt))
     pos = np.diagonal(e_za).copy()      # t * (zn_i . an_i) - t
     np.exp(e_za, out=e_za)
-    e_zz = zt @ z1.T
+    e_zz = np.matmul(zt, z1.T, out=_mapped_square(n, dt))
     np.exp(e_zz, out=e_zz)
     np.fill_diagonal(e_zz, 0.0)
-    e_aa = at @ a1.T
+    e_aa = np.matmul(at, a1.T, out=_mapped_square(n, dt))
     np.exp(e_aa, out=e_aa)
     np.fill_diagonal(e_aa, 0.0)
 

@@ -43,6 +43,11 @@ class TrainConfig:
             raise ContractError("learning rates must be positive")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ContractError("dims must be three positive widths "
+                                f"[f_embed, f_proj, f_filter], got {list(self.dims)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.precision not in ("float64", "float32"):

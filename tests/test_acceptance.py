@@ -14,9 +14,10 @@ from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
                       controller_lambda, controller_loss, drop_edges, embed,
                       encode_contextual, encode_semantic, evaluate_clustering,
                       fuse, init_params, kmeans, linear_probe, load_graph,
-                      make_splits, mask_features, nmi, normalized_adjacency,
-                      ntxent_pair_loss, train, view_loss)
+                      make_splits, mask_features, nmi, ntxent_pair_loss, train,
+                      view_loss)
 from nodefuse.cli import main
+from nodefuse.graph import normalized_adjacency_sparse
 from nodefuse.tensor import AdamState
 from nodefuse.training import _step
 
@@ -62,9 +63,9 @@ def test_criterion_1_gradient_correctness():
         for t in params.all_params().values():
             t.data += rng.normal(0.0, 0.05, size=t.data.shape)
         x = Tensor(g.features)
-        adj = normalized_adjacency(g)
+        adj = normalized_adjacency_sparse(g)
         x_aug = Tensor(mask_features(g.features, 0.3, rng))
-        adj_aug = normalized_adjacency(drop_edges(g, 0.3, rng))
+        adj_aug = normalized_adjacency_sparse(drop_edges(g, 0.3, rng))
         lam = Tensor(rng.uniform(0.1, 0.9, size=(6, 1)))
         ccfg = ContrastConfig(tau=0.5, beta1=0.7, beta2=1.3)
 

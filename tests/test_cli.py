@@ -1,9 +1,14 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nodefuse.cli import main
+from nodefuse.cli import _SCHEMA, main
 
 from conftest import MALFORMED, random_graph, write_dataset
 
@@ -75,16 +80,41 @@ class TestTrain:
         cfg_path.write_text(json.dumps({"dataset_dir": str(tmp_path / "nope")}))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    def test_single_node_graph_exits_2(self, tmp_path, capsys):
+        d = write_dataset(tmp_path / "one", 1, [], np.ones((1, 6)))
+        cfg = write_config(tmp_path, d)
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
+def train_checkpoint(tmp_path, dataset):
+    cfg = write_config(tmp_path, dataset)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "model.ckpt"
+
+
+# eval arguments that must end in an `error:` line and exit 2; the flag says
+# whether the dataset keeps its labels
+BAD_EVAL_ARGS = {
+    "ratio_two_parts": (["--ratio", "48/32"], True),
+    "ratio_not_numbers": (["--ratio", "a/b/c"], True),
+    "ratio_all_zero": (["--ratio", "0/0/0"], True),
+    "ratio_not_finite": (["--ratio", "nan/1/1"], True),
+    "unlabeled_classify": (["--task", "classify"], False),
+    "unlabeled_cluster": (["--task", "cluster"], False),
+    "restarts_zero": (["--task", "cluster", "--restarts", "0"], True),
+    "n_splits_zero": (["--n-splits", "0"], True),
+    "seed_negative": (["--seed", "-1"], True),
+}
+
 
 class TestEval:
-    def _train(self, tmp_path, dataset):
-        cfg = write_config(tmp_path, dataset)
-        out = tmp_path / "out"
-        main(["train", "--config", str(cfg), "--out", str(out)])
-        return out / "model.ckpt"
 
     def test_classify_writes_accuracies(self, tmp_path, dataset, capsys):
-        ckpt = self._train(tmp_path, dataset)
+        ckpt = train_checkpoint(tmp_path, dataset)
         out = tmp_path / "eval"
         rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                    "--task", "classify", "--n-splits", "4", "--ratio", "60/20/20",
@@ -98,7 +128,7 @@ class TestEval:
         assert all(0.0 <= v <= 1.0 for v in rec["values"])
 
     def test_cluster_reports_three_metrics(self, tmp_path, dataset, capsys):
-        ckpt = self._train(tmp_path, dataset)
+        ckpt = train_checkpoint(tmp_path, dataset)
         out = tmp_path / "eval"
         rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                    "--task", "cluster", "--out", str(out)])
@@ -115,8 +145,29 @@ class TestEval:
                    "--dataset", str(dataset)])
         assert rc == 4
 
+    def test_corrupt_checkpoint_exits_4(self, tmp_path, dataset, capsys):
+        ckpt = train_checkpoint(tmp_path, dataset)
+        ckpt.write_bytes(ckpt.read_bytes()[:200])
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_EVAL_ARGS))
+    def test_bad_arguments_exit_2(self, tmp_path, dataset, case, capsys):
+        ckpt = train_checkpoint(tmp_path, dataset)
+        extra, labeled = BAD_EVAL_ARGS[case]
+        if not labeled:
+            (dataset / "labels.txt").unlink()
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                   "--out", str(tmp_path / "eval"), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "eval" / "eval_results.jsonl").exists()
+
     def test_feature_width_mismatch(self, tmp_path, dataset):
-        ckpt = self._train(tmp_path, dataset)
+        ckpt = train_checkpoint(tmp_path, dataset)
         rng = np.random.default_rng(1)
         g = random_graph(rng, n=10, f=9, n_classes=3)
         other = write_dataset(tmp_path / "other", g.n_nodes,
@@ -164,8 +215,173 @@ class TestMalformedDataset:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_eval_exits_2(self, tmp_path, dataset, case, capsys):
+        ckpt = train_checkpoint(tmp_path, dataset)
+        MALFORMED[case](dataset)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "eval").exists()
+
     def test_analyze_exits_2(self, tmp_path, dataset, case, capsys):
         MALFORMED[case](dataset)
         rc = main(["analyze", "--dataset", str(dataset), "--out", str(tmp_path / "an")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# Fuzzing the CLI: whatever the dataset, config, checkpoint or eval arguments,
+# main() returns a documented exit code and never raises.
+
+EXIT_CODES = {0, 2, 3, 4}
+_JUNK = [None, "x", True, [], {}]
+# The valid floats stop at tau >= 0.2 and lr <= 3: at tau 0.01 a float32 run
+# (tau 0.001 in float64) is accepted but diverges, exit 3, through the
+# RuntimeWarnings that this suite turns into errors.
+_VALUES = {
+    float: [-1.0, 0.0, 0.2, 0.5, 1.0, 3.0, float("nan"), float("inf")],
+    int: [-1, 0, 1, 2],
+    bool: [True, False],
+    str: ["float32", "float64", "float16", ""],
+    list: [[5, 4, 3], [1, 1, 1], [0, 4, 3], [5, 4], ["a", 4, 3], [None, 4, 3]],
+    type(None): [None],
+}
+_FILES = ["meta.json", "edges.tsv", "features.csv", "labels.txt"]
+_RATIO_PARTS = ["48", "32", "20", "0", "-1", "0.5", "a", "nan", "1e400", ""]
+
+
+def _leaves(schema, prefix=()):
+    for key, kind in schema.items():
+        if isinstance(kind, dict):
+            yield from _leaves(kind, prefix + (key,))
+        else:
+            yield prefix + (key,), kind if isinstance(kind, tuple) else (kind,)
+
+
+_CONFIG_LEAVES = list(_leaves(_SCHEMA))
+
+
+@st.composite
+def config_edits(draw):
+    """(path, value) pairs; a value of KeyError deletes the field."""
+    edits = []
+    for _ in range(draw(st.integers(0, 3))):
+        path, kinds = draw(st.sampled_from(_CONFIG_LEAVES))
+        typed = [v for kind in kinds for v in _VALUES[kind]]
+        if path[0] in ("dataset_dir", "output_dir"):
+            typed = []      # any string names a path; deletion covers these
+        edits.append((path, draw(st.sampled_from(typed + _JUNK + [KeyError]))))
+    return edits
+
+
+dataset_edits = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("malformed"), st.sampled_from(sorted(MALFORMED))),
+    st.tuples(st.just("truncate"), st.sampled_from(_FILES), st.floats(0.0, 1.0)),
+    st.tuples(st.just("delete"), st.sampled_from(_FILES)),
+)
+
+checkpoint_edits = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.floats(0.0, 1.0),
+                                                  st.integers(1, 255)),
+                                        min_size=1, max_size=3)),
+    st.tuples(st.just("replace"), st.binary(max_size=64)),
+)
+
+# each eval example changes at most two of these from a valid run
+EVAL_FIELDS = {
+    "dataset": dataset_edits,
+    "checkpoint": checkpoint_edits,
+    "task": st.sampled_from(["classify", "cluster"]),
+    "ratio": st.lists(st.sampled_from(_RATIO_PARTS), min_size=1, max_size=4).map("/".join),
+    "n_splits": st.sampled_from(_VALUES[int]),
+    "restarts": st.sampled_from(_VALUES[int]),
+    "seed": st.sampled_from(_VALUES[int]),
+}
+VALID_EVAL = {"dataset": ("none",), "checkpoint": ("none",), "task": "classify",
+              "ratio": "48/32/20", "n_splits": 2, "restarts": 2, "seed": 0}
+
+
+def apply_dataset_edit(d: Path, edit):
+    kind, *arg = edit
+    if kind == "malformed":
+        MALFORMED[arg[0]](d)
+    elif kind == "truncate":
+        data = (d / arg[0]).read_bytes()
+        (d / arg[0]).write_bytes(data[:int(len(data) * arg[1])])
+    elif kind == "delete":
+        (d / arg[0]).unlink()
+
+
+def edit_checkpoint(data: bytes, edit) -> bytes:
+    kind, *arg = edit
+    if kind == "truncate":
+        return data[:int(len(data) * arg[0])]
+    if kind == "flip":
+        out = bytearray(data)
+        for where, mask in arg[0]:
+            out[min(int(len(out) * where), len(out) - 1)] ^= mask
+        return bytes(out)
+    if kind == "replace":
+        return arg[0]
+    return data
+
+
+def fuzz_dataset(d: Path) -> Path:
+    g = random_graph(np.random.default_rng(3), n=10, f=4, n_classes=3)
+    return write_dataset(d, g.n_nodes, [tuple(e) for e in g.edges], g.features,
+                         labels=g.labels, n_classes=3, name="fuzz")
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    return train_checkpoint(tmp, fuzz_dataset(tmp / "data")).read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=dataset_edits, cfg_edits=config_edits())
+def test_fuzz_train(edit, cfg_edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        d = fuzz_dataset(tmp / "data")
+        apply_dataset_edit(d, edit)
+        cfg = {"dataset_dir": str(d), "seed": 0,
+               "train": {"epochs": 1, "dims": [5, 4, 3], "dropout": 0.0}}
+        for path, value in cfg_edits:
+            section = cfg
+            for key in path[:-1]:
+                if not isinstance(section.get(key), dict):
+                    section[key] = {}
+                section = section[key]
+            if value is KeyError:
+                section.pop(path[-1], None)
+            else:
+                section[path[-1]] = value
+        (tmp / "config.json").write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(tmp / "config.json"),
+                   "--out", str(tmp / "out")])
+    assert rc in EXIT_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed=st.sets(st.sampled_from(sorted(EVAL_FIELDS)), max_size=2), data=st.data())
+def test_fuzz_eval(fuzz_checkpoint, changed, data):
+    run = dict(VALID_EVAL)
+    for name in sorted(changed):
+        run[name] = data.draw(EVAL_FIELDS[name], label=name)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        d = fuzz_dataset(tmp / "data")
+        apply_dataset_edit(d, run["dataset"])
+        ckpt = tmp / "model.ckpt"
+        ckpt.write_bytes(edit_checkpoint(fuzz_checkpoint, run["checkpoint"]))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(d),
+                   "--out", str(tmp / "eval"), f"--task={run['task']}",
+                   f"--ratio={run['ratio']}", f"--n-splits={run['n_splits']}",
+                   f"--restarts={run['restarts']}", f"--seed={run['seed']}"])
+    assert rc in EXIT_CODES

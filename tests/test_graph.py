@@ -7,10 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodefuse import (Tensor, build_graph, load_graph, make_splits,
-                      neighborhood_similarity, normalized_adjacency,
-                      write_graph)
+                      neighborhood_similarity, write_graph)
 from nodefuse.errors import ContractError, FormatError, LoadError
-from nodefuse.graph import _largest_remainder_sizes
+from nodefuse.graph import _largest_remainder_sizes, normalized_adjacency_sparse
 
 from conftest import MALFORMED, random_graph, write_dataset
 
@@ -166,23 +165,23 @@ class TestBuildGraph:
 class TestNormalizedAdjacency:
     def test_isolated_node_self_loop(self):
         g = build_graph(1, [], np.zeros((1, 2)))
-        a = normalized_adjacency(g)
-        assert np.array_equal(a.data, [[1.0]])
+        a = normalized_adjacency_sparse(g).toarray()
+        assert np.array_equal(a, [[1.0]])
 
     def test_two_node_single_edge(self):
         g = build_graph(2, [(0, 1)], np.zeros((2, 2)))
-        a = normalized_adjacency(g)
-        assert np.abs(a.data - 0.5).max() < 1e-15
+        a = normalized_adjacency_sparse(g).toarray()
+        assert np.abs(a - 0.5).max() < 1e-15
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, n=25, p_edge=0.2)
-        a = normalized_adjacency(g).data
+        a = normalized_adjacency_sparse(g).toarray()
         assert np.array_equal(a, a.T)
 
     def test_without_self_loops_isolated_row_zero(self):
         g = build_graph(3, [(0, 1)], np.zeros((3, 2)))
-        a = normalized_adjacency(g, add_self_loops=False).data
+        a = normalized_adjacency_sparse(g, add_self_loops=False).toarray()
         assert np.array_equal(a[2], np.zeros(3))
 
 

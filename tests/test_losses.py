@@ -209,11 +209,11 @@ class TestGradientIsolation:
         dims = ModelDims(f_in=6, f_embed=5, f_proj=4, f_filter=3)
         params = init_params(rng, dims)
         from nodefuse import controller_lambda, encode_contextual, encode_semantic
-        from nodefuse import build_graph, normalized_adjacency
+        from nodefuse.graph import normalized_adjacency_sparse
         from conftest import random_graph
         g = random_graph(rng, n=n, f=6)
         x = Tensor(g.features)
-        adj = normalized_adjacency(g)
+        adj = normalized_adjacency_sparse(g)
         h_s = encode_semantic(params, x)
         h_c = encode_contextual(params, x, adj)
         weights = controller_lambda(params, h_s, h_c, g.degree)

@@ -1,12 +1,16 @@
+import io
+import pickle
+import re
+
 import numpy as np
 import pytest
 
 from nodefuse import (ModelDims, Tensor, backward, build_graph,
                       controller_lambda, drop_edges, encode_contextual,
                       encode_semantic, fuse, init_params, load_checkpoint,
-                      normalized_adjacency, project, save_checkpoint)
+                      project, save_checkpoint)
 from nodefuse import tensor as T
-from nodefuse.errors import ContractError
+from nodefuse.errors import CheckpointError, ContractError
 from nodefuse.graph import normalized_adjacency_sparse
 from nodefuse.model import degree_feature, first_layer_product
 
@@ -57,7 +61,7 @@ class TestEncodeContextual:
     def test_no_edges_reduces_to_semantic(self, params):
         rng = np.random.default_rng(4)
         g = build_graph(5, [], rng.normal(size=(5, 8)))
-        adj = normalized_adjacency(g)  # identity
+        adj = normalized_adjacency_sparse(g)  # identity
         x = Tensor(g.features)
         ctx = encode_contextual(params, x, adj)
         sem = encode_semantic(params, x)
@@ -66,25 +70,28 @@ class TestEncodeContextual:
     def test_permutation_equivariance(self, params):
         rng = np.random.default_rng(5)
         g = random_graph(rng, n=7, f=8)
-        adj = normalized_adjacency(g).data
-        out = encode_contextual(params, Tensor(g.features), Tensor(adj)).data
+        adj = normalized_adjacency_sparse(g)
+        out = encode_contextual(params, Tensor(g.features), adj).data
         perm = rng.permutation(7)
-        adj_p = adj[np.ix_(perm, perm)]
-        out_p = encode_contextual(params, Tensor(g.features[perm]), Tensor(adj_p)).data
+        adj_p = adj[perm][:, perm]
+        out_p = encode_contextual(params, Tensor(g.features[perm]), adj_p).data
         assert np.abs(out_p - out[perm]).max() < 1e-10
 
     def test_zero_features_zero_output(self, params):
         g = build_graph(4, [(0, 1), (2, 3)], np.zeros((4, 8)))
-        out = encode_contextual(params, Tensor(g.features), normalized_adjacency(g))
+        out = encode_contextual(params, Tensor(g.features), normalized_adjacency_sparse(g))
         assert np.array_equal(out.data, np.zeros((4, 5)))
 
     def test_sparse_and_dense_paths_agree(self, params):
+        # the sparse encoder against the two-layer GCN in dense numpy
         rng = np.random.default_rng(6)
         g = random_graph(rng, n=9, f=8)
-        x = Tensor(g.features)
-        dense = encode_contextual(params, x, normalized_adjacency(g)).data
-        sparse = encode_contextual(params, x, normalized_adjacency_sparse(g)).data
-        assert np.abs(dense - sparse).max() < 1e-12
+        adj = normalized_adjacency_sparse(g)
+        dense = adj.toarray()
+        hidden = np.maximum(dense @ g.features @ params.enc_w1.data, 0.0)
+        expect = dense @ hidden @ params.enc_w2.data
+        sparse = encode_contextual(params, Tensor(g.features), adj).data
+        assert np.abs(expect - sparse).max() < 1e-12
 
 
 class TestProject:
@@ -187,7 +194,7 @@ def test_view_sharing_same_encoder(params):
     rng = np.random.default_rng(18)
     g = random_graph(rng, n=6, f=8)
     x = Tensor(g.features)
-    adj = normalized_adjacency(g)
+    adj = normalized_adjacency_sparse(g)
     sem_before = encode_semantic(params, x).data.copy()
     ctx_before = encode_contextual(params, x, adj).data.copy()
     params.enc_w1.data += 0.1
@@ -230,3 +237,42 @@ def test_checkpoint_round_trip(tmp_path, params):
         assert np.array_equal(loaded.all_params()[name].data, t.data)
     with pytest.raises(ContractError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def _npy_bytes(_good):
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+CORRUPT_CHECKPOINTS = {
+    "empty": lambda good: b"",
+    "text": lambda good: b"not a checkpoint\n",
+    "pickle": lambda good: pickle.dumps({"enc_w1": np.zeros((8, 5))}),
+    "npy_array": _npy_bytes,
+    "truncated": lambda good: good[:len(good) // 2],
+    "flipped_byte": lambda good: good[:100] + bytes([good[100] ^ 0xFF]) + good[101:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+def test_corrupt_checkpoint_is_checkpoint_error(tmp_path, params, case):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    path.write_bytes(CORRUPT_CHECKPOINTS[case](path.read_bytes()))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("missing", ["__dims__", *init_params(
+    np.random.default_rng(0), DIMS).all_params()])
+def test_checkpoint_missing_array_is_checkpoint_error(tmp_path, params, missing):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files if name != missing}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))) as info:
+        load_checkpoint(path)
+    assert missing in str(info.value)

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,6 @@ class TestElementwise:
         out = T.relu(Tensor([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
 
-    def test_exp_log_inverse_pair(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0.1, 5.0, size=(3, 4))
-        out = T.exp(T.log(Tensor(x)))
-        assert np.abs(out.data - x).max() < 1e-12
-
     def test_mul_ones_identity(self):
         rng = np.random.default_rng(3)
         a = rand_tensor(rng, (4, 3))
@@ -84,9 +80,9 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
-    def test_log_domain_error(self):
+    def test_sqrt_domain_error(self):
         with pytest.raises(DomainError):
-            T.log(Tensor([[1.0, -1.0]]))
+            T.sqrt(Tensor([[1.0, -1.0]]))
 
     def test_relu_grad_at_zero_is_zero(self):
         x = Tensor([[0.0, 1.0, -1.0]], requires_grad=True)
@@ -154,7 +150,7 @@ class TestBackward:
             return T.sum_all(T.relu(T.mul(x, x)))
 
         def l2():
-            return T.sum_all(T.exp(T.scale(x, 0.3)))
+            return T.sum_all(T.sigmoid(T.scale(x, 0.3)))
 
         alpha, beta = 0.7, -1.9
         backward(l1())
@@ -173,14 +169,15 @@ class TestBackward:
             rng = np.random.default_rng(100 + seed)
             a = rand_tensor(rng, (4, 3), requires_grad=True)
             b = rand_tensor(rng, (3, 5), requires_grad=True)
+            c = rand_tensor(rng, (5, 2))
 
             def loss_fn():
                 m = T.matmul(a, b)
                 n = T.normalize_rows(T.relu(m))
-                s = T.matmul(n, T.transpose(n))
-                e = T.exp_affine(s, 2.0, -2.0)
-                return T.add(T.sum_all(T.log(T.add_scalar(T.sum_rows(e), 1.0))),
-                             T.mean_all(T.sigmoid(m)))
+                s = T.add_scalar(T.sum_rows(T.mul(n, T.sigmoid(m))), 1.0)
+                r = T.rowscale(T.concat_cols([T.matmul(n, c), T.scale(m, 0.5)]), s)
+                return T.add(T.sqrt(T.add_scalar(T.sum_all(T.mul(r, r)), 1.0)),
+                             T.mean_all(T.sigmoid(T.rowscale(m, T.cosine_rows(m, n)))))
 
             backward(loss_fn())
             for p in (a, b):
@@ -212,22 +209,6 @@ class TestBackward:
 
 
 class TestReductionsAndStructure:
-    def test_offdiag_sums(self):
-        x = np.arange(9, dtype=float).reshape(3, 3)
-        t = Tensor(x, requires_grad=True)
-        rows = T.offdiag_sum_rows(t)
-        expect = x.sum(axis=1) - np.diag(x)
-        assert np.array_equal(rows.data[:, 0], expect)
-        backward(T.sum_all(rows))
-        g = np.ones((3, 3))
-        np.fill_diagonal(g, 0.0)
-        assert np.array_equal(t.grad, g)
-
-    def test_diag_part_grad(self):
-        t = Tensor(np.arange(4, dtype=float).reshape(2, 2), requires_grad=True)
-        backward(T.sum_all(T.diag_part(t)))
-        assert np.array_equal(t.grad, np.eye(2))
-
     def test_rowscale(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         v = Tensor([[2.0], [0.5]], requires_grad=True)
@@ -296,6 +277,25 @@ class TestNtxentView:
         for g32, g64 in ((gz32, gz64), (ga32, ga64)):
             assert g32.dtype == np.float32
             assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
+
+    def test_square_blocks_get_mappings_of_their_own(self, monkeypatch):
+        # from malloc, an N x N block lands in a freed heap hole or on a new
+        # mapping, and which one changed between runs, moving the peak RSS
+        blocks = []
+        mapped = T._mapped_square
+
+        def recording(n, dtype):
+            blocks.append(mapped(n, dtype))
+            return blocks[-1]
+
+        monkeypatch.setattr(T, "_mapped_square", recording)
+        rng = np.random.default_rng(33)
+        z = unit_rows(rng, 16, 4).astype(np.float32)
+        a = unit_rows(rng, 16, 4).astype(np.float32)
+        T.ntxent_view(Tensor(z), Tensor(a), 2.0)
+        assert [(b.shape, b.dtype) for b in blocks] == [((16, 16), np.float32)] * 3
+        # frombuffer reaches the mapping through a memoryview
+        assert all(isinstance(b.base.base.obj, mmap.mmap) for b in blocks)
 
 
 class TestAdam:

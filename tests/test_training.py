@@ -1,4 +1,4 @@
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -152,22 +152,23 @@ class TestConfigValidation:
 
 
 def test_one_view_of_ntxent_buffers_live_at_a_time(monkeypatch):
-    # each view's NT-Xent holds three N x N buffers until its backward has
+    # each view's NT-Xent holds three N x N blocks until its backward has
     # run; they must be freed before the next view allocates its own
-    n = 300
-    g = random_graph(np.random.default_rng(5), n=n, f=10, p_edge=0.02)
-    live = []
-    kernel = T.ntxent_view
+    g = random_graph(np.random.default_rng(5), n=300, f=10, p_edge=0.02)
+    blocks, live = [], []
+    kernel, mapped = T.ntxent_view, T._mapped_square
 
     def recording(*args):
-        live.append(tracemalloc.get_traced_memory()[0])
+        live.append(sum(ref() is not None for ref in blocks))
         return kernel(*args)
 
+    def tracked(n, dtype):
+        block = mapped(n, dtype)
+        blocks.append(weakref.ref(block))
+        return block
+
     monkeypatch.setattr(T, "ntxent_view", recording)
-    tracemalloc.start()
-    try:
-        train(g, small_cfg(epochs=1))
-    finally:
-        tracemalloc.stop()
-    assert len(live) == 3
-    assert max(live) - live[0] < n * n * 8
+    monkeypatch.setattr(T, "_mapped_square", tracked)
+    train(g, small_cfg(epochs=1))
+    assert len(blocks) == 9
+    assert live == [0, 0, 0]
