@@ -49,7 +49,6 @@ _SCHEMA = {
     "contrast": {"tau": float, "beta1": float, "beta2": float},
     "controller": {"alpha1": float, "alpha2": float, "epsilon": float},
     "augment": {"p_s": float, "p_c": float},
-    "eval": {"task": str, "n_splits": int, "ratio": list, "restarts": int},
     "ablation": {
         "disable_semantic_contrast": bool,
         "disable_context_contrast": bool,

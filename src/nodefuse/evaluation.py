@@ -38,64 +38,71 @@ def _as_array(x) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _first_argmax(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """`logits.argmax(axis=0)` from `top`, the max; numpy's argmax copies axis 0 last."""
+    hit, pred = logits[0] == top, np.zeros(top.shape, dtype=np.int64)
+    for row in logits[1:]:
+        pred += ~hit
+        hit |= row == top
+    return pred
 
 
 def linear_probe(embeddings, labels, splits: list[Split], lr: float = 0.01,
                  epochs: int = 300, seed: int = 0) -> ClassificationResult:
-    """Multinomial logistic regression on frozen embeddings, one run per split.
+    """Multinomial logistic regression on frozen embeddings, one model per split.
 
     Trained with Adam on the train indices; the epoch with the best validation
-    accuracy is selected and its weights are scored on test. Test labels are
-    read exactly once, at final scoring.
+    accuracy (else the last epoch) is scored on test (else on train). Test
+    labels are read exactly once, at final scoring. The splits train as one
+    model: row c*S + s of the weights is class c of split s, and Adam works
+    element by element, so each split takes the steps it would take alone.
     """
     x = _as_array(embeddings)
     y = np.asarray(labels, dtype=np.int64)
-    mean = x.mean(axis=0)
     std = x.std(axis=0)
-    x = (x - mean) / np.where(std < 1e-12, 1.0, std)
-    n_classes = int(y.max()) + 1
-
-    accs = []
-    for split in splits:
-        ytr = y[split.train]
-        if len(np.unique(ytr)) < 2:
+    x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    n_classes, n_splits = int(y.max()) + 1, len(splits)
+    y_train = np.full((n_splits, len(y)), -1)   # a split's labels, -1 off its rows
+    y_val = y_train.copy()
+    for i, split in enumerate(splits):
+        if len(np.unique(y[split.train])) < 2:
             raise ContractError("linear probe train set contains a single class")
-        rng = np.random.default_rng(seed)
-        xtr = x[split.train]
-        onehot = np.eye(n_classes)[ytr]
-        w = rng.normal(0.0, 0.01, size=(x.shape[1], n_classes))
-        b = np.zeros((1, n_classes))
-        state = AdamState()
-        best_val = -1.0
-        best = (w.copy(), b.copy())
-        has_val = len(split.val) > 0
-        xval, yval = x[split.val], y[split.val]
-        for _ in range(epochs):
-            p = _softmax(xtr @ w + b)
-            diff = (p - onehot) / len(xtr)
-            adam_step({"w": w, "b": b},
-                      {"w": xtr.T @ diff, "b": diff.sum(axis=0, keepdims=True)},
-                      state, lr)
-            if has_val:
-                val_pred = (xval @ w + b).argmax(axis=1)
-                val_acc = float((val_pred == yval).mean())
-                if val_acc > best_val:
-                    best_val = val_acc
-                    best = (w.copy(), b.copy())
-        if not has_val:
-            best = (w, b)
-        bw, bb = best
-        if len(split.test) > 0:
-            test_pred = (x[split.test] @ bw + bb).argmax(axis=1)
-            accs.append(float((test_pred == y[split.test]).mean()))
-        else:
-            train_pred = (xtr @ bw + bb).argmax(axis=1)
-            accs.append(float((train_pred == ytr).mean()))
-    return ClassificationResult(accuracies=accs)
+        y_train[i, split.train] = y[split.train]
+        y_val[i, split.val] = y[split.val]
+    onehot = (y_train == np.arange(n_classes)[:, None, None]).astype(np.float64)
+    train = y_train >= 0   # the gradient divides by the train count, by inf off train
+    n_train = np.where(train, train.sum(axis=1, keepdims=True), np.inf)
+    keep_last = (y_val < 0).all(axis=1)
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=(x.shape[1], n_classes))
+    params = {"w": np.repeat(w.T, n_splits, axis=0), "b": np.zeros((n_classes * n_splits, 1))}
+    best = {name: p.copy() for name, p in params.items()}
+    best_correct, state = np.full(n_splits, -1), AdamState()
+
+    def logits_of(p):   # (C, S, N)
+        return (p["w"] @ x.T + p["b"]).reshape(n_classes, n_splits, -1)
+
+    for epoch in range(epochs + 1):
+        # one product scores the last step's weights and takes the next step
+        logits = logits_of(params)
+        top = logits.max(axis=0)
+        if epoch > 0:
+            correct = (_first_argmax(logits, top) == y_val).sum(axis=1)
+            better = (correct > best_correct) | keep_last
+            best_correct = np.where(better, correct, best_correct)
+            take = np.tile(better, n_classes)[:, None]
+            best = {name: np.where(take, p, best[name]) for name, p in params.items()}
+        if epoch == epochs:
+            break
+        diff = np.exp(logits - top)
+        diff /= diff.sum(axis=0)
+        diff -= onehot
+        diff /= n_train
+        adam_step(params, {"w": diff.reshape(-1, len(y)) @ x,
+                           "b": diff.sum(axis=2).reshape(-1, 1)}, state, lr)
+    scored = [split.test if len(split.test) > 0 else split.train for split in splits]
+    pred = logits_of(best).argmax(axis=0)
+    return ClassificationResult(
+        accuracies=[float((p[rows] == y[rows]).mean()) for p, rows in zip(pred, scored)])
 
 
 def _wcss(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:

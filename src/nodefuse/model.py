@@ -237,7 +237,7 @@ def load_checkpoint(path) -> ModelParams:
         with open(path, "rb") as fh, np.load(fh) as data:
             dims = ModelDims(*(int(v) for v in data["__dims__"]))
             kwargs = {name: Tensor(data[name], requires_grad=True) for name in names}
-    except (OSError, EOFError, ValueError, KeyError, TypeError,
-            NotImplementedError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, TypeError, RuntimeError,
+            zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path} is not a valid checkpoint: {exc}") from exc
     return ModelParams(dims=dims, **kwargs)

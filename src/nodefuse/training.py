@@ -20,6 +20,11 @@ from . import tensor as T
 from .tensor import AdamState, Tensor, adam_step
 
 
+def _check_fixed_lambda(value: float | None):
+    if value is not None and not 0.0 <= value <= 1.0:     # NaN fails too
+        raise ContractError(f"fixed_lambda must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.005
@@ -31,7 +36,9 @@ class TrainConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     dims: tuple[int, int, int] = (256, 64, 30)   # (f_embed, f_proj, f_filter)
-    patience: int | None = 50        # early stop on contrast-loss plateau
+    # stop after `patience` epochs without a contrast-loss gain; train then
+    # returns the last epoch's parameters, not the best epoch's
+    patience: int | None = 50
     precision: str = "float64"       # "float64" (test mode) or "float32"
     include_semantic: bool = True
     include_context: bool = True
@@ -54,6 +61,7 @@ class TrainConfig:
             raise ContractError(f"unknown precision {self.precision!r}")
         if not (self.include_semantic or self.include_context or self.include_fusion):
             raise ContractError("all three contrast terms are disabled")
+        _check_fixed_lambda(self.fixed_lambda)
 
     @property
     def dtype(self):
@@ -221,6 +229,7 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
 
 def embed(g: Graph, params: ModelParams, fixed_lambda: float | None = None) -> Tensor:
     """Deterministic inference: fused representations on the unperturbed graph."""
+    _check_fixed_lambda(fixed_lambda)
     x = Tensor(g.features.astype(params.enc_w1.data.dtype))
     adj = normalized_adjacency_sparse(g).astype(x.data.dtype)
     xw = first_layer_product(params, x)

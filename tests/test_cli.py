@@ -22,6 +22,10 @@ def dataset(tmp_path):
                          labels=g.labels, n_classes=3, name="toy")
 
 
+# outside [0, 1], the controller's range, for the config and for `eval`
+BAD_FIXED_LAMBDAS = ["nan", "inf", "1e308", "-0.1", "1.5"]
+
+
 def write_config(tmp_path, dataset, **extra):
     cfg = {
         "dataset_dir": str(dataset),
@@ -75,6 +79,20 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "disabled" in capsys.readouterr().err
 
+    def test_eval_section_is_unknown_field(self, tmp_path, dataset, capsys):
+        # `eval` takes its settings from its flags only
+        cfg = write_config(tmp_path, dataset, eval={"task": "classify", "n_splits": 3})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "unknown config field: eval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_FIXED_LAMBDAS)
+    def test_fixed_lambda_outside_unit_interval(self, tmp_path, dataset, value, capsys):
+        cfg = write_config(tmp_path, dataset, ablation={"fixed_lambda": float(value)})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "fixed_lambda" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset(self, tmp_path, dataset):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"dataset_dir": str(tmp_path / "nope")}))
@@ -108,6 +126,8 @@ BAD_EVAL_ARGS = {
     "restarts_zero": (["--task", "cluster", "--restarts", "0"], True),
     "n_splits_zero": (["--n-splits", "0"], True),
     "seed_negative": (["--seed", "-1"], True),
+    **{f"fixed_lambda_{v}": ([f"--fixed-lambda={v}"], True) for v in BAD_FIXED_LAMBDAS},
+    "fixed_lambda_nan_cluster": (["--task", "cluster", "--fixed-lambda", "nan"], True),
 }
 
 

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodefuse import (Split, ari, clustering_accuracy, evaluate_clustering,
                       kmeans, linear_probe, nmi)
 from nodefuse.errors import ContractError
-from nodefuse.evaluation import lloyd
+from nodefuse.evaluation import _first_argmax, lloyd
+from nodefuse.tensor import AdamState, adam_step
 
 
 def blobs(rng, k=3, per=30, f=4, spread=0.05):
@@ -56,6 +59,89 @@ class TestLinearProbe:
                   test=np.array([7, 8, 9]), seed=0)
         with pytest.raises(ContractError):
             linear_probe(x, y, [s])
+
+
+def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
+    """One logistic regression per split, trained one after another."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    std = x.std(axis=0)
+    x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    n_classes = int(y.max()) + 1
+    accs = []
+    for split in splits:
+        ytr = y[split.train]
+        if len(np.unique(ytr)) < 2:
+            raise ContractError("linear probe train set contains a single class")
+        rng = np.random.default_rng(seed)
+        xtr = x[split.train]
+        onehot = np.eye(n_classes)[ytr]
+        w = rng.normal(0.0, 0.01, size=(x.shape[1], n_classes))
+        b = np.zeros((1, n_classes))
+        state = AdamState()
+        best_val, best = -1.0, (w.copy(), b.copy())
+        xval, yval = x[split.val], y[split.val]
+        for _ in range(epochs):
+            logits = xtr @ w + b
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            diff = (e / e.sum(axis=1, keepdims=True) - onehot) / len(xtr)
+            adam_step({"w": w, "b": b},
+                      {"w": xtr.T @ diff, "b": diff.sum(axis=0, keepdims=True)},
+                      state, lr)
+            if len(split.val) > 0:
+                val_acc = float(((xval @ w + b).argmax(axis=1) == yval).mean())
+                if val_acc > best_val:
+                    best_val, best = val_acc, (w.copy(), b.copy())
+        bw, bb = best if len(split.val) > 0 else (w, b)
+        rows = split.test if len(split.test) > 0 else split.train
+        accs.append(float(((x[rows] @ bw + bb).argmax(axis=1) == y[rows]).mean()))
+    return accs
+
+
+@st.composite
+def probe_cases(draw):
+    """(x, y, splits, epochs, seed): 1-4 splits of their own sizes, each part
+    possibly empty except train, over Gaussian features."""
+    n = draw(st.integers(4, 40))
+    f = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, f)) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    y = rng.integers(0, n_classes, size=n)
+    splits = []
+    for k in range(draw(st.integers(1, 4))):
+        n_train = draw(st.integers(2, n))
+        n_val = draw(st.integers(0, n - n_train))
+        n_test = draw(st.integers(0, n - n_train - n_val))
+        perm = rng.permutation(n)
+        splits.append(Split(train=perm[:n_train], val=perm[n_train:n_train + n_val],
+                            test=perm[n_train + n_val:n_train + n_val + n_test], seed=k))
+    return x, y, splits, draw(st.sampled_from([0, 1, 7, 300])), draw(st.integers(0, 9))
+
+
+class TestLinearProbeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(probe_cases())
+    @example((np.arange(12.0).reshape(6, 2) % 5, np.array([0, 1, 2, 0, 1, 2]),
+              [Split(train=np.arange(4), val=np.array([], dtype=np.int64),
+                     test=np.array([4, 5]), seed=0),
+               Split(train=np.array([1, 2, 3, 4, 5]), val=np.array([0]),
+                     test=np.array([], dtype=np.int64), seed=1)], 300, 0))
+    def test_accuracies_equal_per_split_loop(self, case):
+        x, y, splits, epochs, seed = case
+        try:
+            expected = reference_linear_probe(x, y, splits, epochs=epochs, seed=seed)
+        except ContractError:
+            with pytest.raises(ContractError):
+                linear_probe(x, y, splits, epochs=epochs, seed=seed)
+            return
+        got = linear_probe(x, y, splits, epochs=epochs, seed=seed)
+        assert got.accuracies == expected
+
+    def test_first_argmax_breaks_ties_as_argmax(self):
+        logits = np.random.default_rng(12).integers(0, 3, size=(4, 5, 30)).astype(float)
+        assert np.array_equal(_first_argmax(logits, logits.max(axis=0)),
+                              logits.argmax(axis=0))
 
 
 class TestKmeans:

@@ -245,6 +245,13 @@ def _npy_bytes(_good):
     return buf.getvalue()
 
 
+def _encrypted_flag(good):
+    # bit 0 of a central-directory entry's flag field marks the entry encrypted,
+    # and zipfile then raises RuntimeError for want of a password
+    at = good.index(b"PK\x01\x02") + 8
+    return good[:at] + bytes([good[at] | 1]) + good[at + 1:]
+
+
 CORRUPT_CHECKPOINTS = {
     "empty": lambda good: b"",
     "text": lambda good: b"not a checkpoint\n",
@@ -252,6 +259,7 @@ CORRUPT_CHECKPOINTS = {
     "npy_array": _npy_bytes,
     "truncated": lambda good: good[:len(good) // 2],
     "flipped_byte": lambda good: good[:100] + bytes([good[100] ^ 0xFF]) + good[101:],
+    "encrypted_flag": _encrypted_flag,
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from nodefuse.errors import ContractError
 from conftest import random_graph
 
 SMALL = dict(dims=(6, 4, 3), epochs=3, patience=None)
+BAD_FIXED_LAMBDAS = [float("nan"), float("inf"), 1e308, -0.1, 1.5]
 
 
 def small_cfg(**over):
@@ -98,6 +100,23 @@ class TestProgress:
         report = train(graph, cfg)
         assert len(report.records) < 400
 
+    def test_early_stop_returns_last_epoch_params(self, graph):
+        # the run stops `patience` epochs after its best epoch and returns the
+        # parameters of the epoch it stopped at, not those of the best epoch
+        cfg = small_cfg(epochs=400, patience=5, lr=1e-12, fixed_lambda=0.5,
+                        dropout=0.0, augment=AugmentConfig(p_s=0.0, p_c=0.0))
+        stopped = train(graph, cfg)
+        last = len(stopped.records)
+        assert last < 400
+
+        def same_params(epochs):
+            rerun = train(graph, dataclasses.replace(cfg, epochs=epochs, patience=None))
+            ours, theirs = stopped.params.all_params(), rerun.params.all_params()
+            return all(np.array_equal(ours[k].data, theirs[k].data) for k in ours)
+
+        assert same_params(last)
+        assert not same_params(last - cfg.patience)
+
     def test_records_carry_epoch_numbers(self, graph):
         report = train(graph, small_cfg(epochs=3))
         assert [r.epoch for r in report.records] == [1, 2, 3]
@@ -144,6 +163,14 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             TrainConfig(include_semantic=False, include_context=False,
                         include_fusion=False)
+
+    @pytest.mark.parametrize("value", BAD_FIXED_LAMBDAS)
+    def test_fixed_lambda_outside_unit_interval(self, graph, value):
+        with pytest.raises(ContractError, match="fixed_lambda"):
+            TrainConfig(fixed_lambda=value)
+        report = train(graph, small_cfg(epochs=1))
+        with pytest.raises(ContractError, match="fixed_lambda"):
+            embed(graph, report.params, fixed_lambda=value)
 
     def test_float32_mode_runs(self, graph):
         report = train(graph, small_cfg(epochs=2, precision="float32"))
