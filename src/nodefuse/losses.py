@@ -99,8 +99,8 @@ def contrast_terms(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig,
     """Yield the enabled weighted view-loss terms one at a time.
 
     A generator so callers can backpropagate each term before the next one is
-    built; only one view's NxN similarity matrices are then alive at once,
-    which keeps memory flat at large node counts.
+    built; only one view's tape (its projections and NT-Xent state, all N x d
+    or smaller) is then alive at once.
     """
     if not (include_semantic or include_context or include_fusion):
         raise ContractError("at least one contrast term must be enabled")

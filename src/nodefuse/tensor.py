@@ -8,7 +8,6 @@ meaningful; float32 is accepted for fast training runs.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +127,7 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
         raise ShapeError(f"spmm: inner dims of {adj.shape} and {x.shape} differ")
 
     def backward(g, grads):
-        # Built here, not per call: the controller phase and embed never
-        # run this backward.
-        _accum(grads, x, adj.T.tocsr() @ g)
+        _accum(grads, x, adj.T @ g)
 
     return _result(adj @ x.data, (x,), backward)
 
@@ -288,17 +285,32 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     return sum_rows(mul(normalize_rows(a), normalize_rows(b)))
 
 
-def _mapped_square(n: int, dtype: np.dtype) -> np.ndarray:
-    """An n x n array on a private mapping of its own, unmapped when freed.
+# Rows per NT-Xent tile: a float32 (512, N) tile is 10 MB at N = 5000, and
+# its GEMMs are still large enough to keep BLAS efficient.
+_ROW_BLOCK = 512
 
-    From malloc, a block this large lands in a hole that freed tape arrays
-    left in the heap or on a new mapping, and which one changed between
-    identical training runs, moving their peak RSS by one block.
+
+def _exp_tiles(left, right, buf, symmetric: bool, diag=None):
+    """Yield (lo, hi, tile) with tile = exp(left[lo:hi] @ right[k:].T),
+    computed in place in `buf`, for each row block lo:hi of _ROW_BLOCK rows.
+
+    A symmetric block takes only its columns k = lo onwards and has its
+    self-similarity diagonal zeroed; any other block takes every column
+    (k = 0) and, when `diag` is given, writes its diagonal lo + i into
+    diag[lo:hi] before the exp.
     """
-    buf = mmap.mmap(-1, n * n * dtype.itemsize, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)     # as numpy asks for its large blocks
-    return np.frombuffer(buf, dtype).reshape(n, n)
+    n = left.shape[0]
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        k = lo if symmetric else 0
+        tile = buf[:(hi - lo) * (n - k)].reshape(hi - lo, n - k)
+        np.matmul(left[lo:hi], right[k:].T, out=tile)
+        if diag is not None:
+            diag[lo:hi] = np.diagonal(tile, lo)
+        np.exp(tile, out=tile)
+        if symmetric:
+            np.fill_diagonal(tile, 0.0)
+        yield lo, hi, tile
 
 
 def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
@@ -310,19 +322,26 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     are bounded by 1 and exp(t*s - t), with t = 1/tau, never overflows; the
     constant shift is added back to the loss.
 
-    Forward: each of the three N x N blocks comes out of one GEMM already
-    scaled and shifted, [t*zn, -t] @ [x, 1]^T = t*s - t, and takes one
-    in-place exp. The positive terms are the diagonal of the shifted cross
-    block. The self-similarity diagonals are zeroed before the row sums:
+    No N x N array is made. The blocks exp(t*s - t) of zn.zn, an.an and
+    zn.an are made a tile of _ROW_BLOCK rows at a time in one reused buffer,
+    each tile by one GEMM already scaled and shifted, [t*zn, -t] @ [x, 1]^T,
+    and one in-place exp. A tile of the symmetric self blocks covers only
+    the columns from its first row on: its row sums credit its rows and the
+    column sums right of its diagonal square credit those columns. A cross
+    tile credits the forward denominators of its rows and the backward
+    denominators of its columns; its shifted diagonal gives the positive
+    terms. The self-similarity diagonals are zeroed before the sums:
     subtracting them afterwards cancels catastrophically in float32 once the
-    negatives fall below about 1e-7 of the diagonal's 1 (small tau).
+    negatives fall below about 1e-7 of the diagonal's 1 (small tau). A
+    denominator so small that t / denominator overflows (every term of its
+    row underflowed) makes the loss NaN, with no warning.
 
-    Backward: with per-row weights w = t / (row denominator), the gradient
-    through a symmetric self block E is
-    (E * (w_i + w_j)) @ x = w * (E @ x) + E @ (w * x), and the cross block
-    expands the same way. So each of e_zz, e_za, e_za^T and e_aa takes one
-    GEMM against an N x 2d operand [x, w * x], and the three N x N buffers
-    are the only N x N memory the op ever holds.
+    Backward: the tiles are recomputed, not stored. With per-row weights
+    w = t / (row denominator), the gradient through a symmetric self block E
+    is (E * (w_i + w_j)) @ x = w * (E @ x) + E @ (w * x), and the cross
+    block expands the same way. So each tile takes GEMMs against an N x 2d
+    operand [x, w * x], one for its rows and, in a self block, one for the
+    columns right of its diagonal square.
     """
     _check_same_shape(zn, an, "ntxent_view")
     n, d = zn.shape
@@ -339,21 +358,26 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
         xt[:, d] = -ct
         return xt, x1           # [t*x, -t] and [x, 1]
 
+    def tile_buffer():
+        return np.empty(min(n, _ROW_BLOCK) * n, dtype=dt)
+
     zt, z1 = gemm_operands(z)
     at, a1 = gemm_operands(a)
-    e_za = np.matmul(zt, a1.T, out=_mapped_square(n, dt))
-    pos = np.diagonal(e_za).copy()      # t * (zn_i . an_i) - t
-    np.exp(e_za, out=e_za)
-    e_zz = np.matmul(zt, z1.T, out=_mapped_square(n, dt))
-    np.exp(e_zz, out=e_zz)
-    np.fill_diagonal(e_zz, 0.0)
-    e_aa = np.matmul(at, a1.T, out=_mapped_square(n, dt))
-    np.exp(e_aa, out=e_aa)
-    np.fill_diagonal(e_aa, 0.0)
+    buf = tile_buffer()
+    d_fwd = np.zeros(n, dtype=dt)
+    d_bwd = np.zeros(n, dtype=dt)
+    for left, right, den in ((zt, z1, d_fwd), (at, a1, d_bwd)):
+        for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
+            den[lo:hi] += tile.sum(axis=1)
+            den[hi:] += tile[:, hi - lo:].sum(axis=0)
+    pos = np.empty(n, dtype=dt)     # t * (zn_i . an_i) - t
+    for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=pos):
+        d_fwd[lo:hi] += tile.sum(axis=1)
+        d_bwd += tile.sum(axis=0)
 
-    d_fwd = e_zz.sum(axis=1) + e_za.sum(axis=1)
-    d_bwd = e_aa.sum(axis=1) + e_za.sum(axis=0)
-    total = float((np.log(d_fwd) + np.log(d_bwd) - 2.0 * pos).sum())
+    with np.errstate(divide="ignore", over="ignore"):
+        finite = np.isfinite(ct / np.minimum(d_fwd, d_bwd)).all()
+    total = float((np.log(d_fwd) + np.log(d_bwd) - 2.0 * pos).sum()) if finite else np.nan
 
     def backward(g, grads):
         c = dt.type(g[0, 0])
@@ -361,10 +385,16 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
         w_bwd = (c * t / d_bwd).astype(dt)[:, None]
         xz = np.hstack([z, w_fwd * z])
         xa = np.hstack([a, w_bwd * a])
-        pz = e_zz @ xz
-        pz += e_za @ xa
-        pa = e_aa @ xa
-        pa += e_za.T @ xz
+        pz = np.zeros_like(xz)
+        pa = np.zeros_like(xa)
+        buf = tile_buffer()
+        for left, right, x, p in ((zt, z1, xz, pz), (at, a1, xa, pa)):
+            for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
+                p[lo:hi] += tile @ x[lo:]
+                p[hi:] += tile[:, hi - lo:].T @ x[lo:hi]
+        for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False):
+            pz[lo:hi] += tile @ xa
+            pa += tile.T @ xz[lo:hi]
         pull = dt.type(2.0 * c * t)     # from the positive term -2t * s_ii
         _accum(grads, zn, w_fwd * pz[:, :d] + pz[:, d:] - pull * a)
         _accum(grads, an, w_bwd * pa[:, :d] + pa[:, d:] - pull * z)

@@ -173,7 +173,7 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
         cparams = params.contrast_params()
         _zero_grads(cparams)
         loss_val = 0.0
-        # backpropagate term by term so a single view's NxN tape is live
+        # backpropagate term by term so one view's tape is live at a time
         for term in contrast_terms(emb, params, cfg.contrast,
                                    include_semantic=cfg.include_semantic,
                                    include_context=cfg.include_context,
@@ -183,7 +183,7 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
                 raise TrainingDiverged(epoch, "contrast")
             loss_val += val
             T.backward(term)
-            del term    # frees this view's NxN buffers before the next view's
+            del term    # frees this view's tape before the next view builds its own
         _step(cparams, contrast_state, cfg.lr)
         if phase_hook is not None:
             phase_hook(epoch, "contrast", params)

@@ -106,6 +106,21 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("precision,tau", [("float32", 0.01), ("float64", 0.001)])
+    def test_unrepresentable_denominator_exits_3(self, tmp_path, capsys,
+                                                 precision, tau):
+        # every NT-Xent term of some row underflows, so t / denominator
+        # overflows; the run stops in the contrast phase with no warning
+        g = random_graph(np.random.default_rng(0), n=8, f=6)
+        d = write_dataset(tmp_path / "eight", g.n_nodes, [tuple(e) for e in g.edges],
+                          g.features)
+        cfg = write_config(tmp_path, d, precision=precision, contrast={"tau": tau},
+                           train={"epochs": 2, "dims": [5, 4, 3], "dropout": 0.0})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite loss at epoch 1, phase 'contrast'\n")
+
 
 def train_checkpoint(tmp_path, dataset):
     cfg = write_config(tmp_path, dataset)
@@ -257,11 +272,10 @@ class TestMalformedDataset:
 
 EXIT_CODES = {0, 2, 3, 4}
 _JUNK = [None, "x", True, [], {}]
-# The valid floats stop at tau >= 0.2 and lr <= 3: at tau 0.01 a float32 run
-# (tau 0.001 in float64) is accepted but diverges, exit 3, through the
-# RuntimeWarnings that this suite turns into errors.
+# The valid floats reach down to tau 0.01, where a float32 run can diverge:
+# NT-Xent's denominators underflow, and train exits 3 without a warning.
 _VALUES = {
-    float: [-1.0, 0.0, 0.2, 0.5, 1.0, 3.0, float("nan"), float("inf")],
+    float: [-1.0, 0.0, 0.01, 0.2, 0.5, 1.0, 3.0, float("nan"), float("inf")],
     int: [-1, 0, 1, 2],
     bool: [True, False],
     str: ["float32", "float64", "float16", ""],

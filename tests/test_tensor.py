@@ -1,7 +1,9 @@
-import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodefuse import AdamState, Tensor, adam_step, backward
 from nodefuse import tensor as T
@@ -240,6 +242,27 @@ def ntxent_and_grads(z, a, tau):
     return out.item(), zt.grad, at.grad
 
 
+def dense_ntxent(z, a, tau):
+    """NT-Xent loss and gradients from the whole float64 N x N blocks."""
+    t = 1.0 / tau
+    e_zz, e_za, e_aa = np.exp(t * (z @ z.T)), np.exp(t * (z @ a.T)), np.exp(t * (a @ a.T))
+    np.fill_diagonal(e_zz, 0.0)
+    np.fill_diagonal(e_aa, 0.0)
+    d_fwd = e_zz.sum(axis=1) + e_za.sum(axis=1)
+    d_bwd = e_aa.sum(axis=1) + e_za.sum(axis=0)
+    loss = np.log(d_fwd).sum() + np.log(d_bwd).sum() - 2 * t * np.trace(z @ a.T)
+    # d loss / d similarity, one matrix per block
+    g_zz = t * e_zz / d_fwd[:, None]
+    g_aa = t * e_aa / d_bwd[:, None]
+    g_za = t * e_za * (1 / d_fwd[:, None] + 1 / d_bwd[None, :]) - 2 * t * np.eye(len(z))
+    gz = (g_zz + g_zz.T) @ z + g_za @ a
+    ga = (g_aa + g_aa.T) @ a + g_za.T @ z
+    return loss, gz, ga
+
+
+B = T._ROW_BLOCK
+
+
 class TestNtxentView:
     @pytest.mark.parametrize("tau", [0.1, 0.5, 1.5])
     def test_gradients_match_finite_differences(self, tau):
@@ -278,24 +301,34 @@ class TestNtxentView:
             assert g32.dtype == np.float32
             assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
 
-    def test_square_blocks_get_mappings_of_their_own(self, monkeypatch):
-        # from malloc, an N x N block lands in a freed heap hole or on a new
-        # mapping, and which one changed between runs, moving the peak RSS
-        blocks = []
-        mapped = T._mapped_square
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, B - 1, B, B + 1, 2 * B + 3]),
+           d=st.integers(1, 6), tau=st.sampled_from([0.1, 0.5, 1.5]),
+           n_zero=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, n, d, tau, n_zero, seed):
+        # row counts on both sides of the row-block size and its multiples
+        rng = np.random.default_rng(seed)
+        z = unit_rows(rng, n, d)
+        a = unit_rows(rng, n, d)
+        z[rng.choice(n, min(n_zero, n), replace=False)] = 0.0
+        a[rng.choice(n, min(n_zero, n), replace=False)] = 0.0
+        loss, gz, ga = ntxent_and_grads(z, a, tau)
+        ref, rz, ra = dense_ntxent(z, a, tau)
+        assert abs(loss - ref) <= 1e-9 * abs(ref)
+        for g, r in ((gz, rz), (ga, ra)):
+            assert np.abs(g - r).max() <= 1e-9 * np.abs(r).max()
 
-        def recording(n, dtype):
-            blocks.append(mapped(n, dtype))
-            return blocks[-1]
-
-        monkeypatch.setattr(T, "_mapped_square", recording)
+    def test_no_square_array_is_made(self):
+        n = 3 * B
         rng = np.random.default_rng(33)
-        z = unit_rows(rng, 16, 4).astype(np.float32)
-        a = unit_rows(rng, 16, 4).astype(np.float32)
-        T.ntxent_view(Tensor(z), Tensor(a), 2.0)
-        assert [(b.shape, b.dtype) for b in blocks] == [((16, 16), np.float32)] * 3
-        # frombuffer reaches the mapping through a memoryview
-        assert all(isinstance(b.base.base.obj, mmap.mmap) for b in blocks)
+        z, a = unit_rows(rng, n, 8), unit_rows(rng, n, 8)
+        tracemalloc.start()
+        try:
+            ntxent_and_grads(z, a, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * z.itemsize
 
 
 class TestAdam:

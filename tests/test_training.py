@@ -1,12 +1,10 @@
 import dataclasses
-import weakref
 
 import numpy as np
 import pytest
 
 from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
                       TrainConfig, Tensor, embed, encode_semantic, train)
-from nodefuse import tensor as T
 from nodefuse.errors import ContractError
 
 from conftest import random_graph
@@ -176,26 +174,3 @@ class TestConfigValidation:
         report = train(graph, small_cfg(epochs=2, precision="float32"))
         assert report.params.enc_w1.data.dtype == np.float32
         assert embed(graph, report.params).data.dtype == np.float32
-
-
-def test_one_view_of_ntxent_buffers_live_at_a_time(monkeypatch):
-    # each view's NT-Xent holds three N x N blocks until its backward has
-    # run; they must be freed before the next view allocates its own
-    g = random_graph(np.random.default_rng(5), n=300, f=10, p_edge=0.02)
-    blocks, live = [], []
-    kernel, mapped = T.ntxent_view, T._mapped_square
-
-    def recording(*args):
-        live.append(sum(ref() is not None for ref in blocks))
-        return kernel(*args)
-
-    def tracked(n, dtype):
-        block = mapped(n, dtype)
-        blocks.append(weakref.ref(block))
-        return block
-
-    monkeypatch.setattr(T, "ntxent_view", recording)
-    monkeypatch.setattr(T, "_mapped_square", tracked)
-    train(g, small_cfg(epochs=1))
-    assert len(blocks) == 9
-    assert live == [0, 0, 0]
