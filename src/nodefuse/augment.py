@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,14 +39,8 @@ def drop_edges(g: Graph, p_c: float, rng: np.random.Generator) -> Graph:
     """Keep each undirected edge independently with probability 1 - p_c.
 
     One Bernoulli draw per undirected pair keeps the adjacency symmetric.
-    Features and labels are shared with the source graph; degrees are
-    recomputed for the surviving edge set.
+    Features and labels are shared with the source graph.
     """
     if not 0.0 <= p_c < 1.0:
         raise ContractError(f"p_c must lie in [0, 1), got {p_c}")
-    keep = rng.random(g.n_edges) >= p_c
-    edges = g.edges[keep]
-    degree = np.bincount(edges.ravel(), minlength=g.n_nodes)
-    return Graph(n_nodes=g.n_nodes, edges=edges, features=g.features,
-                 labels=g.labels, degree=degree, n_classes=g.n_classes,
-                 name=g.name)
+    return replace(g, edges=g.edges[rng.random(g.n_edges) >= p_c])

@@ -85,9 +85,11 @@ def load_config(path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     _check_keys(cfg, _SCHEMA)
@@ -110,9 +112,12 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
             kwargs[f"include_{view}"] = not abl[f"disable_{view}_contrast"]
     if "fixed_lambda" in abl:
         kwargs["fixed_lambda"] = abl["fixed_lambda"]
+    if "dims" in kwargs:
+        dims = kwargs["dims"]
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+            raise ConfigError(f"train.dims entries must be integers, got {dims}")
+        kwargs["dims"] = tuple(dims)
     try:
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
         return TrainConfig(contrast=ContrastConfig(**cfg.get("contrast", {})),
                            controller=ControllerConfig(**cfg.get("controller", {})),
                            augment=AugmentConfig(**cfg.get("augment", {})),
@@ -131,13 +136,29 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
         raise ConfigError(f"--ratio must be a/b/c with a nonzero sum, got {text!r}") from None
 
 
+def _output_dir(out, create: bool = True) -> Path:
+    """`out` as an output directory, made unless `create` is False (a check
+    that writes nothing); a path that is or lies under a file is a ConfigError."""
+    path = Path(out or ".")
+    try:
+        if create:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            nearest = next(p for p in (path, *path.parents) if p.exists())
+            if not nearest.is_dir():
+                raise NotADirectoryError(f"{nearest} is not a directory")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {path}: {exc}") from exc
+    return path
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     tcfg = build_train_config(cfg, seed_override=args.seed)
-    out_dir = Path(args.out or cfg.get("output_dir", "."))
+    out_dir = _output_dir(args.out or cfg.get("output_dir"), create=False)
     g = load_graph(cfg["dataset_dir"])
     report = train(g, tcfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _output_dir(out_dir)
     save_checkpoint(report.params, out_dir / "model.ckpt")
     (out_dir / "train_report.jsonl").write_text(report.to_jsonl())
     snapshot = dict(cfg)
@@ -160,8 +181,7 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"dataset has {g.n_features} features but the checkpoint "
                               f"{args.checkpoint} expects {params.dims.f_in}")
     reps = embed(g, params, fixed_lambda=args.fixed_lambda)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     records = []
     if args.task == "classify":
         splits = make_splits(g, ratio, n_splits=args.n_splits, seed=args.seed)
@@ -190,8 +210,7 @@ def cmd_analyze(args) -> int:
     g = load_graph(args.dataset)
     sims, isolated = neighborhood_similarity(g)
     counts, edges = np.histogram(sims[~isolated], bins=50, range=(-1.0, 1.0))
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     payload = {
         "dataset": g.name,
         "similarity": [float(s) for s in sims],

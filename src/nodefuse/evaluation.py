@@ -11,6 +11,9 @@ from .errors import ContractError
 from .graph import Split
 from .tensor import AdamState, Tensor, adam_step
 
+_PROBE_LR = 0.01        # Adam step size of the linear probe
+_LLOYD_MAX_ITER = 300   # Lloyd iterations per k-means restart
+
 
 @dataclass
 class ClassificationResult:
@@ -47,8 +50,8 @@ def _first_argmax(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
     return pred
 
 
-def linear_probe(embeddings, labels, splits: list[Split], lr: float = 0.01,
-                 epochs: int = 300, seed: int = 0) -> ClassificationResult:
+def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
+                 seed: int = 0) -> ClassificationResult:
     """Multinomial logistic regression on frozen embeddings, one model per split.
 
     Trained with Adam on the train indices; the epoch with the best validation
@@ -98,7 +101,7 @@ def linear_probe(embeddings, labels, splits: list[Split], lr: float = 0.01,
         diff -= onehot
         diff /= n_train
         adam_step(params, {"w": diff.reshape(-1, len(y)) @ x,
-                           "b": diff.sum(axis=2).reshape(-1, 1)}, state, lr)
+                           "b": diff.sum(axis=2).reshape(-1, 1)}, state, _PROBE_LR)
     scored = [split.test if len(split.test) > 0 else split.train for split in splits]
     pred = logits_of(best).argmax(axis=0)
     return ClassificationResult(
@@ -124,7 +127,7 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300):
+def lloyd(x: np.ndarray, centers: np.ndarray):
     """Lloyd iterations until assignments stabilize.
 
     Empty clusters are re-seeded from the point farthest from its centroid.
@@ -133,7 +136,7 @@ def lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300):
     centers = centers.copy()
     assign = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         for c in range(len(centers)):
@@ -151,8 +154,7 @@ def lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300):
     return assign, centers, history
 
 
-def kmeans(embeddings, k: int, seed: int, restarts: int = 10,
-           max_iter: int = 300) -> np.ndarray:
+def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding."""
     x = _as_array(embeddings)
     n = len(x)
@@ -165,7 +167,7 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10,
     best_score = np.inf
     for _ in range(restarts):
         centers = _plus_plus_init(x, k, rng)
-        assign, centers, history = lloyd(x, centers, max_iter)
+        assign, centers, history = lloyd(x, centers)
         if history[-1] < best_score:
             best_score = history[-1]
             best_assign = assign
@@ -235,12 +237,11 @@ def ari(pred, truth) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def evaluate_clustering(embeddings, labels, k: int | None = None, seed: int = 0,
+def evaluate_clustering(embeddings, labels, seed: int = 0,
                         restarts: int = 10) -> ClusteringResult:
+    """k-means with k the number of classes in `labels`, scored against them."""
     y = np.asarray(labels, dtype=np.int64)
-    if k is None:
-        k = int(y.max()) + 1
-    assign = kmeans(embeddings, k, seed=seed, restarts=restarts)
+    assign = kmeans(embeddings, int(y.max()) + 1, seed=seed, restarts=restarts)
     return ClusteringResult(acc=clustering_accuracy(assign, y),
                             nmi=nmi(assign, y),
                             ari=ari(assign, y),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ class Graph:
     edges: np.ndarray            # (m, 2) int, i < j
     features: np.ndarray         # (n_nodes, F) float
     labels: np.ndarray | None    # (n_nodes,) int, or None
-    degree: np.ndarray           # (n_nodes,) int
     n_classes: int | None = None
     name: str = ""
     n_dropped_lines: int = 0     # duplicate / reversed / self-loop lines at load
@@ -45,6 +45,11 @@ class Graph:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """(n_nodes,) int64 count of each node's undirected edges."""
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,6 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
     keys = np.sort(lo[keep] * n_nodes + hi[keep])
     keys = keys[np.diff(keys, prepend=-1) != 0]     # keys are >= 0
     edges = np.stack([keys // n_nodes, keys % n_nodes], axis=1)
-    degree = np.bincount(edges.ravel(), minlength=n_nodes)
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (n_nodes,):
@@ -95,7 +99,7 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
         if labels.min(initial=0) < 0 or (n_nodes and labels.max() >= n_classes):
             raise FormatError("labels outside [0, n_classes)")
     return Graph(n_nodes=n_nodes, edges=edges, features=features, labels=labels,
-                 degree=degree, n_classes=n_classes, name=name,
+                 n_classes=n_classes, name=name,
                  n_dropped_lines=len(raw) - len(edges))
 
 
@@ -119,10 +123,12 @@ def load_graph(dataset_dir) -> Graph:
         if not p.is_file():
             raise LoadError(f"missing required file: {p}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         n, n_features, n_classes = (int(meta[k]) for k in _META_KEYS)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{meta_path} is not UTF-8 text: {exc}") from exc
     except KeyError as exc:
         raise FormatError(f"{meta_path} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -176,15 +182,14 @@ def adjacency_sparse(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
 
 
-def normalized_adjacency_sparse(g: Graph, add_self_loops: bool = True) -> sp.csr_matrix:
-    """D^{-1/2} (A [+ I]) D^{-1/2} with degrees taken after the self-loops."""
-    a = adjacency_sparse(g)
-    if add_self_loops:
-        a = a + sp.identity(g.n_nodes, dtype=np.float64, format="csr")
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    d_inv = sp.diags(inv_sqrt)
-    return (d_inv @ a @ d_inv).tocsr()
+def normalized_adjacency_sparse(g: Graph) -> sp.csr_matrix:
+    """D^{-1/2} (A + I) D^{-1/2}, D the degrees counting the self-loop."""
+    inv_sqrt = 1.0 / np.sqrt(g.degree + 1.0)
+    loops = np.arange(g.n_nodes)
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], loops])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], loops])
+    return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)),
+                         shape=(g.n_nodes, g.n_nodes))
 
 
 def _largest_remainder_sizes(n: int, ratio) -> list[int]:

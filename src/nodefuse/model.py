@@ -44,11 +44,8 @@ class ModelParams:
     ctrl_w2: Tensor
     ctrl_b2: Tensor
 
-    def encoder_params(self) -> dict[str, Tensor]:
-        return {"enc_w1": self.enc_w1, "enc_w2": self.enc_w2}
-
     def contrast_params(self) -> dict[str, Tensor]:
-        return {**self.encoder_params(),
+        return {"enc_w1": self.enc_w1, "enc_w2": self.enc_w2,
                 "proj_w1": self.proj_w1, "proj_b1": self.proj_b1,
                 "proj_w2": self.proj_w2, "proj_b2": self.proj_b2}
 

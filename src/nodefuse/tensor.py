@@ -443,10 +443,9 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8):
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     """In-place Adam update with bias correction over name-keyed arrays."""
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     for name, p in params.items():

@@ -55,6 +55,8 @@ class TrainConfig:
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise ContractError("dims must be three positive widths "
                                 f"[f_embed, f_proj, f_filter], got {list(self.dims)}")
+        if self.patience is not None and self.patience < 1:
+            raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.precision not in ("float64", "float32"):
@@ -150,7 +152,7 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
 
-        x_aug = Tensor(mask_features(g.features, cfg.augment.p_s, aug_rng).astype(dtype))
+        x_aug = Tensor(mask_features(x.data, cfg.augment.p_s, aug_rng))
         g_aug = drop_edges(g, cfg.augment.p_c, aug_rng)
         adj_aug = normalized_adjacency_sparse(g_aug).astype(dtype)
         n = g.n_nodes

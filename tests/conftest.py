@@ -39,6 +39,12 @@ def _rewrite(filename, edit):
     return apply
 
 
+def _latin1_meta_name(d: Path):
+    meta = json.loads((d / "meta.json").read_text())
+    meta["name"] = "café"
+    (d / "meta.json").write_bytes(json.dumps(meta, ensure_ascii=False).encode("latin-1"))
+
+
 def _drop_meta_key(key):
     return _rewrite("meta.json", lambda t: json.dumps(
         {k: v for k, v in json.loads(t).items() if k != key}))
@@ -59,6 +65,7 @@ MALFORMED = {
     "features_inf": _rewrite("features.csv", lambda t: "-inf" + t[t.index(","):]),
     "labels_non_numeric": _rewrite("labels.txt", lambda t: "x" + t[t.index("\n"):]),
     "meta_not_json": _rewrite("meta.json", lambda t: t[:-1]),
+    "meta_not_utf8": _latin1_meta_name,
     "meta_missing_n_nodes": _drop_meta_key("n_nodes"),
     "meta_missing_n_features": _drop_meta_key("n_features"),
     "meta_missing_n_classes": _drop_meta_key("n_classes"),

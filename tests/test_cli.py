@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodefuse import cli
 from nodefuse.cli import _SCHEMA, main
 
 from conftest import MALFORMED, random_graph, write_dataset
@@ -105,6 +106,36 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8(self, tmp_path, dataset, capsys):
+        cfg = write_config(tmp_path, dataset)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"seed"', b'"s\xe9ed"'))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("dims", [[8.9, 4, 3], [True, 4, 3], [5, 4.0, 3]])
+    def test_dims_not_integers(self, tmp_path, dataset, dims, capsys):
+        cfg = write_config(tmp_path, dataset,
+                           train={"epochs": 1, "dims": dims, "dropout": 0.0})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "train.dims" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("patience", [-3, 0])
+    def test_patience_below_one(self, tmp_path, dataset, patience, capsys):
+        cfg = write_config(tmp_path, dataset, train={"epochs": 3, "dims": [5, 4, 3],
+                                                     "patience": patience})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "patience" in capsys.readouterr().err
+
+    def test_patience_null_trains_every_epoch(self, tmp_path, dataset):
+        cfg = write_config(tmp_path, dataset, train={"epochs": 3, "dims": [5, 4, 3],
+                                                     "patience": None})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "train_report.jsonl").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("precision,tau", [("float32", 0.01), ("float64", 0.001)])
     def test_unrepresentable_denominator_exits_3(self, tmp_path, capsys,
@@ -238,6 +269,46 @@ class TestAnalyze:
         main(["analyze", "--dataset", str(dataset), "--out", str(out_b)])
         assert ((out_a / "similarity_histogram.json").read_bytes()
                 == (out_b / "similarity_histogram.json").read_bytes())
+
+
+class TestOutputNamesFile:
+    """An --out that is a file, or lies under one, is exit 2 and one error line."""
+
+    @pytest.fixture(params=["file", "under_file"])
+    def out(self, request, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        return taken if request.param == "file" else taken / "sub"
+
+    def check(self, rc, capsys, tmp_path):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == "keep me\n"
+
+    def test_train_fails_before_training(self, tmp_path, dataset, out, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+        cfg = write_config(tmp_path, dataset)
+        self.check(main(["train", "--config", str(cfg), "--out", str(out)]),
+                   capsys, tmp_path)
+
+    def test_train_output_dir_from_config(self, tmp_path, dataset, out, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+        cfg = write_config(tmp_path, dataset, output_dir=str(out))
+        self.check(main(["train", "--config", str(cfg)]), capsys, tmp_path)
+
+    def test_eval(self, tmp_path, dataset, out, capsys):
+        ckpt = train_checkpoint(tmp_path, dataset)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                   "--out", str(out)])
+        self.check(rc, capsys, tmp_path)
+
+    def test_analyze(self, tmp_path, dataset, out, capsys):
+        rc = main(["analyze", "--dataset", str(dataset), "--out", str(out)])
+        self.check(rc, capsys, tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

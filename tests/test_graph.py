@@ -97,6 +97,12 @@ class TestLoadGraph:
         with pytest.raises(FormatError, match=key):
             load_graph(d)
 
+    def test_meta_not_utf8_named(self, tmp_path):
+        d = write_dataset(tmp_path / "toy", 2, [(0, 1)], np.zeros((2, 2)))
+        MALFORMED["meta_not_utf8"](d)
+        with pytest.raises(FormatError, match="meta.json is not UTF-8"):
+            load_graph(d)
+
     def test_degree_consistency(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, n=30, p_edge=0.15)
@@ -179,10 +185,35 @@ class TestNormalizedAdjacency:
         a = normalized_adjacency_sparse(g).toarray()
         assert np.array_equal(a, a.T)
 
-    def test_without_self_loops_isolated_row_zero(self):
-        g = build_graph(3, [(0, 1)], np.zeros((3, 2)))
-        a = normalized_adjacency_sparse(g, add_self_loops=False).toarray()
-        assert np.array_equal(a[2], np.zeros(3))
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30), n_isolated=st.integers(0, 5),
+           p_edge=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @example(n=6, n_isolated=2, p_edge=0.5, seed=0)
+    def test_matches_dense_oracle(self, n, n_isolated, p_edge, seed):
+        # the last n_isolated nodes get no edges; raw pairs may repeat or
+        # come reversed, and the oracle reads them as a set
+        rng = np.random.default_rng(seed)
+        linked = max(n - n_isolated, 0)
+        pairs = [(i, j) for i in range(linked) for j in range(linked)
+                 if i != j and rng.random() < p_edge]
+        g = build_graph(n, pairs, np.zeros((n, 1)))
+        a = normalized_adjacency_sparse(g)
+        assert a.format == "csr" and a.has_canonical_format
+        assert a.nnz == 2 * g.n_edges + n
+        assert np.allclose(a.toarray(), dense_normalized_adjacency(n, pairs),
+                           rtol=1e-14, atol=0.0)
+        for i in range(linked, n):
+            assert a[i].toarray().ravel().tolist() == np.eye(n)[i].tolist()
+
+
+def dense_normalized_adjacency(n, pairs):
+    """D^-1/2 (A + I) D^-1/2 from an edge list, D the row sums of A + I."""
+    a = np.zeros((n, n))
+    for i, j in pairs:
+        a[i, j] = a[j, i] = 1.0
+    a += np.eye(n)
+    d = a.sum(axis=1) ** -0.5
+    return d[:, None] * a * d[None, :]
 
 
 class TestSplits:

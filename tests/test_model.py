@@ -209,7 +209,7 @@ def test_shared_first_layer_product_matches_separate_products(params):
     adj = normalized_adjacency_sparse(g)
     adj_aug = normalized_adjacency_sparse(drop_edges(g, 0.3, rng))
     masks = [Tensor(rng.uniform(0.0, 2.0, size=(6, 5))) for _ in range(3)]
-    enc = params.encoder_params()
+    enc = {"enc_w1": params.enc_w1, "enc_w2": params.enc_w2}
 
     def run(shared: bool):
         for t in enc.values():

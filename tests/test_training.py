@@ -149,6 +149,11 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one(self, patience):
+        with pytest.raises(ContractError, match="patience"):
+            TrainConfig(patience=patience)
+
     def test_bad_dropout(self):
         with pytest.raises(ContractError):
             TrainConfig(dropout=1.0)
