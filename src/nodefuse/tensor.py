@@ -294,10 +294,10 @@ def _exp_tiles(left, right, buf, symmetric: bool, diag=None):
     """Yield (lo, hi, tile) with tile = exp(left[lo:hi] @ right[k:].T),
     computed in place in `buf`, for each row block lo:hi of _ROW_BLOCK rows.
 
-    A symmetric block takes only its columns k = lo onwards and has its
-    self-similarity diagonal zeroed; any other block takes every column
-    (k = 0) and, when `diag` is given, writes its diagonal lo + i into
-    diag[lo:hi] before the exp.
+    A symmetric block takes only its columns k = lo onwards; any other
+    block takes every column (k = 0). Either way the block's diagonal
+    entries (i, i), i in lo:hi, are zeroed after the exp; when `diag` is
+    given, they are first copied, before the exp, into diag[lo:hi].
     """
     n = left.shape[0]
     for lo in range(0, n, _ROW_BLOCK):
@@ -306,10 +306,9 @@ def _exp_tiles(left, right, buf, symmetric: bool, diag=None):
         tile = buf[:(hi - lo) * (n - k)].reshape(hi - lo, n - k)
         np.matmul(left[lo:hi], right[k:].T, out=tile)
         if diag is not None:
-            diag[lo:hi] = np.diagonal(tile, lo)
+            diag[lo:hi] = np.diagonal(tile, lo - k)
         np.exp(tile, out=tile)
-        if symmetric:
-            np.fill_diagonal(tile, 0.0)
+        np.fill_diagonal(tile[:, lo - k:], 0.0)
         yield lo, hi, tile
 
 
@@ -328,20 +327,25 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     and one in-place exp. A tile of the symmetric self blocks covers only
     the columns from its first row on: its row sums credit its rows and the
     column sums right of its diagonal square credit those columns. A cross
-    tile credits the forward denominators of its rows and the backward
-    denominators of its columns; its shifted diagonal gives the positive
-    terms. The self-similarity diagonals are zeroed before the sums:
-    subtracting them afterwards cancels catastrophically in float32 once the
-    negatives fall below about 1e-7 of the diagonal's 1 (small tau). A
-    denominator so small that t / denominator overflows (every term of its
-    row underflowed) makes the loss NaN, with no warning.
+    tile credits the forward negatives of its rows and the backward
+    negatives of its columns; its shifted diagonal gives the positive terms
+    p_i, kept apart. The diagonals are zeroed before the sums: subtracting
+    them afterwards cancels catastrophically in float32 once the negatives
+    fall below about 1e-7 of the diagonal's 1 (small tau). For the same
+    reason an anchor's loss log(n_i + e^p_i) - p_i, with n_i its negatives,
+    is taken as log1p(n_i / e^p_i) while n_i < e^p_i: a near-zero loss keeps
+    its relative precision. A denominator so small that t / denominator
+    overflows (every term of its row underflowed) makes the loss NaN, with
+    no warning.
 
     Backward: the tiles are recomputed, not stored. With per-row weights
     w = t / (row denominator), the gradient through a symmetric self block E
     is (E * (w_i + w_j)) @ x = w * (E @ x) + E @ (w * x), and the cross
     block expands the same way. So each tile takes GEMMs against an N x 2d
     operand [x, w * x], one for its rows and, in a self block, one for the
-    columns right of its diagonal square.
+    columns right of its diagonal square. The positive pair's similarity
+    gets t * e^p_i * (1/d_fwd + 1/d_bwd) - 2t, taken without cancellation as
+    -t * (n_fwd / d_fwd + n_bwd / d_bwd).
     """
     _check_same_shape(zn, an, "ntxent_view")
     n, d = zn.shape
@@ -364,20 +368,25 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     zt, z1 = gemm_operands(z)
     at, a1 = gemm_operands(a)
     buf = tile_buffer()
-    d_fwd = np.zeros(n, dtype=dt)
-    d_bwd = np.zeros(n, dtype=dt)
-    for left, right, den in ((zt, z1, d_fwd), (at, a1, d_bwd)):
+    n_fwd = np.zeros(n, dtype=dt)   # negatives of each anchor's denominator
+    n_bwd = np.zeros(n, dtype=dt)
+    for left, right, neg in ((zt, z1, n_fwd), (at, a1, n_bwd)):
         for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
-            den[lo:hi] += tile.sum(axis=1)
-            den[hi:] += tile[:, hi - lo:].sum(axis=0)
+            neg[lo:hi] += tile.sum(axis=1)
+            neg[hi:] += tile[:, hi - lo:].sum(axis=0)
     pos = np.empty(n, dtype=dt)     # t * (zn_i . an_i) - t
     for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=pos):
-        d_fwd[lo:hi] += tile.sum(axis=1)
-        d_bwd += tile.sum(axis=0)
+        n_fwd[lo:hi] += tile.sum(axis=1)
+        n_bwd += tile.sum(axis=0)
+    e_pos = np.exp(pos)
+    d_fwd = n_fwd + e_pos
+    d_bwd = n_bwd + e_pos
 
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         finite = np.isfinite(ct / np.minimum(d_fwd, d_bwd)).all()
-    total = float((np.log(d_fwd) + np.log(d_bwd) - 2.0 * pos).sum()) if finite else np.nan
+        anchors = [np.where(neg < e_pos, np.log1p(neg / e_pos), np.log(den) - pos)
+                   for neg, den in ((n_fwd, d_fwd), (n_bwd, d_bwd))]
+    total = float((anchors[0] + anchors[1]).sum()) if finite else np.nan
 
     def backward(g, grads):
         c = dt.type(g[0, 0])
@@ -395,7 +404,8 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
         for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False):
             pz[lo:hi] += tile @ xa
             pa += tile.T @ xz[lo:hi]
-        pull = dt.type(2.0 * c * t)     # from the positive term -2t * s_ii
+        # the positive pair: t * e^p * (1/d_fwd + 1/d_bwd) - 2t, per unit c
+        pull = (c * t * (n_fwd / d_fwd + n_bwd / d_bwd)).astype(dt)[:, None]
         _accum(grads, zn, w_fwd * pz[:, :d] + pz[:, d:] - pull * a)
         _accum(grads, an, w_bwd * pa[:, :d] + pa[:, d:] - pull * z)
 

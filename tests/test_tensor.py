@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodefuse import AdamState, Tensor, adam_step, backward
@@ -243,18 +243,27 @@ def ntxent_and_grads(z, a, tau):
 
 
 def dense_ntxent(z, a, tau):
-    """NT-Xent loss and gradients from the whole float64 N x N blocks."""
+    """NT-Xent loss and gradients from the whole float64 N x N blocks.
+
+    Each anchor's loss log(n_i + e_i) - log(e_i), with n_i its negatives and
+    e_i its positive, is taken as log1p(n_i / e_i), and the positive's
+    gradient t * e_i / d_i - t as -t * n_i / d_i, so that a near-zero loss
+    keeps its relative precision.
+    """
     t = 1.0 / tau
     e_zz, e_za, e_aa = np.exp(t * (z @ z.T)), np.exp(t * (z @ a.T)), np.exp(t * (a @ a.T))
-    np.fill_diagonal(e_zz, 0.0)
-    np.fill_diagonal(e_aa, 0.0)
-    d_fwd = e_zz.sum(axis=1) + e_za.sum(axis=1)
-    d_bwd = e_aa.sum(axis=1) + e_za.sum(axis=0)
-    loss = np.log(d_fwd).sum() + np.log(d_bwd).sum() - 2 * t * np.trace(z @ a.T)
+    e_pos = np.diag(e_za).copy()
+    for e in (e_zz, e_za, e_aa):
+        np.fill_diagonal(e, 0.0)
+    n_fwd = e_zz.sum(axis=1) + e_za.sum(axis=1)
+    n_bwd = e_aa.sum(axis=1) + e_za.sum(axis=0)
+    d_fwd, d_bwd = n_fwd + e_pos, n_bwd + e_pos
+    loss = np.log1p(n_fwd / e_pos).sum() + np.log1p(n_bwd / e_pos).sum()
     # d loss / d similarity, one matrix per block
     g_zz = t * e_zz / d_fwd[:, None]
     g_aa = t * e_aa / d_bwd[:, None]
-    g_za = t * e_za * (1 / d_fwd[:, None] + 1 / d_bwd[None, :]) - 2 * t * np.eye(len(z))
+    g_za = (t * e_za * (1 / d_fwd[:, None] + 1 / d_bwd[None, :])
+            - t * np.diag(n_fwd / d_fwd + n_bwd / d_bwd))
     gz = (g_zz + g_zz.T) @ z + g_za @ a
     ga = (g_aa + g_aa.T) @ a + g_za.T @ z
     return loss, gz, ga
@@ -305,6 +314,7 @@ class TestNtxentView:
     @given(n=st.sampled_from([2, B - 1, B, B + 1, 2 * B + 3]),
            d=st.integers(1, 6), tau=st.sampled_from([0.1, 0.5, 1.5]),
            n_zero=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, d=1, tau=0.1, n_zero=0, seed=255)    # positives aligned: loss ~ 1.6e-8
     def test_matches_dense_reference(self, n, d, tau, n_zero, seed):
         # row counts on both sides of the row-block size and its multiples
         rng = np.random.default_rng(seed)
@@ -317,6 +327,18 @@ class TestNtxentView:
         assert abs(loss - ref) <= 1e-9 * abs(ref)
         for g, r in ((gz, rz), (ga, ra)):
             assert np.abs(g - r).max() <= 1e-9 * np.abs(r).max()
+
+    def test_near_zero_loss_keeps_relative_precision(self):
+        # each row's positive is itself and its three negatives all sit at
+        # similarity -1: every anchor loses log1p(2 e^(-2t)), and each
+        # coordinate's gradient is -8t q * sign, with q = e^(-2t) / (1 + 2 e^(-2t))
+        x = np.array([[1.0], [-1.0]])
+        t = 10.0
+        loss, gz, ga = ntxent_and_grads(x.copy(), x.copy(), 1.0 / t)
+        assert abs(loss - 4 * np.log1p(2 * np.exp(-2 * t))) <= 1e-13 * loss
+        q = np.exp(-2 * t) / (1 + 2 * np.exp(-2 * t))
+        for g in (gz, ga):
+            assert np.abs(g - (-8 * t * q * x)).max() <= 1e-13 * 8 * t * q
 
     def test_no_square_array_is_made(self):
         n = 3 * B
