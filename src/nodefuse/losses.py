@@ -99,8 +99,10 @@ def contrast_terms(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig,
     """Yield the enabled weighted view-loss terms one at a time.
 
     A generator so callers can backpropagate each term before the next one is
-    built; only one view's tape (its projections and NT-Xent state, all N x d
-    or smaller) is then alive at once.
+    built; only one view's head tape (its projections and NT-Xent state, all
+    N x d or smaller) is then alive at once. `train` builds `emb` on leaves
+    that share the encodings' data, so each term's backward stops there, and
+    then backpropagates the encoder once, seeded with the leaves' gradients.
     """
     if not (include_semantic or include_context or include_fusion):
         raise ContractError("at least one contrast term must be enabled")

@@ -172,10 +172,9 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    mask = (a.data > 0.0).astype(a.data.dtype)  # relu'(0) = 0
 
     def backward(g, grads):
-        _accum(grads, a, g * mask)
+        _accum(grads, a, g * (out > 0.0))   # relu'(0) = 0; out > 0 iff a > 0
 
     return _result(out, (a,), backward)
 
@@ -412,14 +411,29 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     return _result(np.array([[total]], dtype=dt), (zn, an), backward)
 
 
-def backward(loss: Tensor):
-    """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf."""
-    if loss.shape != (1, 1):
-        raise ContractError(f"backward: loss must be 1x1, got {loss.shape}")
+def backward(*roots):
+    """Accumulate into .grad of every requires_grad leaf the gradient of
+    sum_r <r, seed_r> over `roots`, in one reverse topological pass.
+
+    Each root is a 1x1 loss (seed 1) or a (tensor, seed array) pair whose
+    seed has the tensor's shape; a root given twice accumulates.
+    """
+    seeds = []
+    for root in roots:
+        if isinstance(root, Tensor):
+            if root.shape != (1, 1):
+                raise ContractError(f"backward: loss must be 1x1, got {root.shape}")
+            seeds.append((root, np.ones((1, 1), dtype=root.data.dtype)))
+        else:
+            node, g = root
+            if g.shape != node.shape:
+                raise ShapeError(
+                    f"backward: seed shape {g.shape} != root shape {node.shape}")
+            seeds.append((node, g))
 
     topo: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(node, False) for node, _ in seeds]
     while stack:
         node, done = stack.pop()
         if done:
@@ -433,7 +447,9 @@ def backward(loss: Tensor):
             if id(p) not in seen and _needs_grad(p):
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.data.dtype)}
+    grads: dict[int, np.ndarray] = {}
+    for node, g in seeds:
+        _accum(grads, node, g)
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
@@ -454,7 +470,12 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
-    """In-place Adam update with bias correction over name-keyed arrays."""
+    """In-place Adam update with bias correction over name-keyed arrays.
+
+    Every product and quotient is taken in the same order as in the textbook
+    p -= lr * m_hat / (sqrt(v_hat) + eps), so updates are bitwise equal to
+    it, but into two scratch arrays per parameter, not a new array per operation.
+    """
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
@@ -469,11 +490,16 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
+        s, r = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=s)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - b2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, 1.0 - b1 ** t, out=s)          # m_hat
+        np.multiply(lr, s, out=s)
+        np.divide(v, 1.0 - b2 ** t, out=r)          # v_hat
+        np.sqrt(r, out=r)
+        r += eps
+        p -= np.divide(s, r, out=s)
     return params, state

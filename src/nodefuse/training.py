@@ -161,10 +161,14 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
 
         # contrast phase: omega and mu move, phi and lambda are frozen
         xw = first_layer_product(params, x)
-        h_s = encode_semantic(params, x, masks[0], xw=xw)
-        h_s_aug = encode_semantic(params, x_aug, masks[1])
-        h_c = encode_contextual(params, x, adj, masks[2], xw=xw)
-        h_c_aug = encode_contextual(params, x, adj_aug, masks[3], xw=xw)
+        encoded = [encode_semantic(params, x, masks[0], xw=xw),
+                   encode_semantic(params, x_aug, masks[1]),
+                   encode_contextual(params, x, adj, masks[2], xw=xw),
+                   encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
+        # the heads start from leaves sharing the encodings' data, so each
+        # term's backward stops at them and the encoder is walked once below
+        h_s, h_s_aug, h_c, h_c_aug = leaves = [
+            Tensor(h.data, requires_grad=True) for h in encoded]
         if cfg.fixed_lambda is not None:
             lam_const = Tensor(np.full((n, 1), cfg.fixed_lambda, dtype=dtype))
         else:
@@ -175,7 +179,8 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
         cparams = params.contrast_params()
         _zero_grads(cparams)
         loss_val = 0.0
-        # backpropagate term by term so one view's tape is live at a time
+        # backpropagate the heads term by term, so that one view's head tape
+        # is live at a time, into the projector and the four leaves
         for term in contrast_terms(emb, params, cfg.contrast,
                                    include_semantic=cfg.include_semantic,
                                    include_context=cfg.include_context,
@@ -186,7 +191,14 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
             loss_val += val
             T.backward(term)
             del term    # frees this view's tape before the next view builds its own
+        # then the encoder once, seeded with the gradients the leaves gathered
+        T.backward(*[(h, leaf.grad) for h, leaf in zip(encoded, leaves)
+                     if leaf.grad is not None])
         _step(cparams, contrast_state, cfg.lr)
+        # unbind this phase's tapes and inputs: left bound until the next
+        # epoch rebinds them, two epochs' tapes would be live at once
+        del x_aug, g_aug, adj_aug, masks, xw, encoded, leaves, emb
+        del h_s, h_s_aug, h_c, h_c_aug
         if phase_hook is not None:
             phase_hook(epoch, "contrast", params)
 
@@ -208,6 +220,7 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
             if phase_hook is not None:
                 phase_hook(epoch, "controller", params)
             lam_vals = weights.values
+            del xw, h_s_clean, h_c_clean, weights, closs
         else:
             lam_vals = lam_const.data[:, 0]
 

@@ -91,6 +91,20 @@ class TestElementwise:
         backward(T.sum_all(T.relu(x)))
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_grad_bitwise_equals_mask_product(self, dtype):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 5)).astype(dtype)
+        a[0, :3] = [0.0, -0.0, 0.0]
+        a[1, :2] = [-0.0, -0.0]
+        g = rng.normal(size=(6, 5)).astype(dtype)
+        g[0, :3] = [-1.5, 2.0, -0.0]     # a negative g at a zero input gives -0.0
+        x = Tensor(a.copy(), requires_grad=True)
+        backward((T.relu(x), g))
+        want = g * (a > 0).astype(dtype)
+        assert x.grad.dtype == want.dtype
+        assert x.grad.tobytes() == want.tobytes()
+
 
 class TestCosineRows:
     def test_self_similarity(self):
@@ -199,6 +213,45 @@ class TestBackward:
                 rel = np.abs(analytic - fd) / np.maximum(
                     np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
                 assert rel.max() < 1e-4
+
+    @staticmethod
+    def _shared_graph(rng):
+        a = rand_tensor(rng, (4, 3), requires_grad=True)
+        b = rand_tensor(rng, (3, 5), requires_grad=True)
+        m = T.matmul(a, b)                       # shared by every root
+        r1 = T.relu(m)
+        r2 = T.sigmoid(T.add(m, T.scale(r1, 0.5)))
+        r3 = T.matmul(T.normalize_rows(r2), rand_tensor(rng, (5, 2)))
+        return (a, b), [r1, r2, r3]
+
+    def test_pairs_match_summed_inner_products(self):
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            leaves, roots = self._shared_graph(np.random.default_rng(seed))
+            seeds = [rng.normal(size=r.shape) for r in roots]
+            backward(*zip(roots, seeds))
+            got = [p.grad.copy() for p in leaves]
+
+            leaves, roots = self._shared_graph(np.random.default_rng(seed))
+            total = T.sum_all(T.mul(roots[0], Tensor(seeds[0])))
+            for r, s in zip(roots[1:], seeds[1:]):
+                total = T.add(total, T.sum_all(T.mul(r, Tensor(s))))
+            backward(total)
+            for g, p in zip(got, leaves):
+                np.testing.assert_allclose(g, p.grad, rtol=1e-12, atol=1e-15)
+
+    def test_repeated_root_accumulates(self):
+        rng = np.random.default_rng(9)
+        w = rand_tensor(rng, (3, 2), requires_grad=True)
+        y = T.mul(w, w)
+        g1, g2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        backward((y, g1), (y, g2))
+        assert np.abs(w.grad - 2 * w.data * (g1 + g2)).max() < 1e-12
+
+    def test_seed_shape_must_match_root(self):
+        w = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            backward((T.relu(w), np.ones((3, 2))))
 
     def test_forward_determinism(self):
         def run():
@@ -376,6 +429,36 @@ class TestAdam:
             vh = v / (1 - b2 ** t)
             x -= lr * mh / (vh ** 0.5 + eps)
             assert abs(p["w"][0, 0] - x) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_textbook_update(self, dtype):
+        # the textbook form, allocating its temporaries; adam_step reuses them
+        def textbook(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(11)
+        params = {"w": rng.normal(size=(7, 5)).astype(dtype),
+                  "b": np.zeros((1, 5), dtype=dtype)}
+        ref = {name: p.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in ref.items()}
+        state = AdamState()
+        for t in range(1, 6):
+            grads = {"w": rng.normal(size=(7, 5)).astype(dtype),
+                     "b": np.zeros((1, 5), dtype=dtype) if t % 2 else
+                     rng.normal(size=(1, 5)).astype(dtype)}
+            if t == 3:
+                grads["w"][:] = 0.0
+            adam_step(params, grads, state, lr=0.01)
+            for name, p in ref.items():
+                textbook(p, grads[name], *moments[name], t, lr=0.01)
+                assert params[name].dtype == p.dtype
+                assert params[name].tobytes() == p.tobytes()
 
     def test_lr_zero_null_step(self):
         p = {"w": np.array([[1.0, -2.0]])}

@@ -1,11 +1,18 @@
 import dataclasses
+import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
-                      TrainConfig, Tensor, embed, encode_semantic, train)
+                      TrainConfig, Tensor, backward, embed, encode_semantic,
+                      train)
+from nodefuse import losses, training
+from nodefuse import tensor as T
 from nodefuse.errors import ContractError
+from nodefuse.losses import contrast_loss
+from nodefuse.model import EmbeddingSet, fuse
 
 from conftest import random_graph
 
@@ -55,6 +62,130 @@ class TestPhaseIsolation:
             assert rec.controller_loss == 0.0
             assert rec.lambda_mean == pytest.approx(0.3)
             assert rec.lambda_std < 1e-15
+
+
+INCLUDES = [c for c in itertools.product([True, False], repeat=3) if any(c)]
+RANDOM_LAMBDA = float(np.random.default_rng(17).uniform())
+
+
+def _recording(fn, record):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        record(out)
+        return out
+    return wrapper
+
+
+def _wrap_backward(out, on_backward):
+    inner = out._backward
+    if inner is not None:
+        def counted(g, grads):
+            on_backward()
+            inner(g, grads)
+        out._backward = counted
+    return out
+
+
+class TestSplitBackward:
+    """The contrast phase backpropagates each head term down to leaves on the
+    encodings, then walks the encoder once; no tape outlives its epoch."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, RANDOM_LAMBDA, None])
+    @pytest.mark.parametrize("include", INCLUDES)
+    def test_gradients_match_summed_loss(self, graph, monkeypatch, include, lam):
+        cfg = small_cfg(epochs=1, fixed_lambda=lam, include_semantic=include[0],
+                        include_context=include[1], include_fusion=include[2])
+        encoded, fuse_lams, made, checked = [], [], [], []
+
+        def recording_fuse(h_s, h_c, lam_t):
+            fuse_lams.append(lam_t)
+            return fuse(h_s, h_c, lam_t)
+
+        real_step = training._step
+
+        def checking_step(group, state, lr):
+            if "enc_w1" in group:
+                split = {name: t.grad.copy() for name, t in group.items()}
+                for t in group.values():
+                    t.grad = None
+                h_s, h_s_aug, h_c, h_c_aug = encoded[:4]
+                lam_t = fuse_lams[0]
+                emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
+                                   h_f=fuse(h_s, h_c, lam_t),
+                                   h_f_aug=fuse(h_s_aug, h_c_aug, lam_t))
+                backward(contrast_loss(emb, made[0], cfg.contrast, *include))
+                for name, t in group.items():
+                    scale = np.abs(t.grad).max()
+                    assert scale > 0.0, name
+                    assert np.abs(split[name] - t.grad).max() <= 1e-12 * scale, name
+                checked.append(True)
+            real_step(group, state, lr)
+
+        for name in ("encode_semantic", "encode_contextual"):
+            monkeypatch.setattr(training, name,
+                                _recording(getattr(training, name), encoded.append))
+        monkeypatch.setattr(training, "fuse", recording_fuse)
+        monkeypatch.setattr(training, "init_params",
+                            _recording(training.init_params, made.append))
+        monkeypatch.setattr(training, "_step", checking_step)
+        train(graph, cfg)
+        assert checked == [True]
+
+    def test_encoder_backward_runs_once_per_epoch(self, graph, monkeypatch):
+        counts = {"spmm": 0, "first_layer_matmul": 0}
+
+        def bump(key):
+            counts[key] += 1
+
+        spmm, matmul = T.spmm, T.matmul
+        monkeypatch.setattr(T, "spmm", lambda adj, x: _wrap_backward(
+            spmm(adj, x), lambda: bump("spmm")))
+        monkeypatch.setattr(T, "matmul", lambda a, b: _wrap_backward(
+            matmul(a, b), lambda: bump("first_layer_matmul"))
+            if b.rows == graph.n_features else matmul(a, b))
+        train(graph, small_cfg(epochs=1))
+        # two contextual encodings of two aggregations each; one product
+        # x @ enc_w1 shared by three encodings and one of the masked features
+        assert counts == {"spmm": 4, "first_layer_matmul": 2}
+
+    def test_each_term_freed_before_next_view(self, graph, monkeypatch):
+        # Tensor has __slots__ without __weakref__, so the test watches the
+        # loss's own data array, which nothing but the loss tensor holds
+        refs, alive = [], []
+        terms, view = losses.contrast_terms, T.ntxent_view
+
+        def tracking_terms(*args, **kwargs):
+            for term in terms(*args, **kwargs):
+                refs.append(weakref.ref(term.data))
+                yield term
+                del term
+
+        def checked_view(*args):
+            alive.append([r() is not None for r in refs])
+            return view(*args)
+
+        monkeypatch.setattr(training, "contrast_terms", tracking_terms)
+        monkeypatch.setattr(losses, "contrast_terms", tracking_terms)
+        monkeypatch.setattr(T, "ntxent_view", checked_view)
+        train(graph, small_cfg(epochs=1))
+        assert alive == [[], [False], [False, False]]
+
+    def test_epoch_tapes_freed_before_next_epoch(self, graph, monkeypatch):
+        refs, alive = [], []
+        mask = training.mask_features
+
+        def checked_mask(*args):
+            alive.append(sum(r() is not None for r in refs))
+            return mask(*args)
+
+        for name in ("encode_semantic", "encode_contextual"):
+            monkeypatch.setattr(training, name, _recording(
+                getattr(training, name), lambda out: refs.append(weakref.ref(out.data))))
+        monkeypatch.setattr(training, "mask_features", checked_mask)
+        train(graph, small_cfg(epochs=3))
+        # four encodings in the contrast phase and two in the controller's
+        assert len(refs) == 18
+        assert alive == [0, 0, 0]
 
 
 class TestDeterminism:
