@@ -181,6 +181,11 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"dataset has {g.n_features} features but the checkpoint "
                               f"{args.checkpoint} expects {params.dims.f_in}")
     reps = embed(g, params, fixed_lambda=args.fixed_lambda)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.einsum("ij,ij->i", reps.data, reps.data))
+    if not finite.all():
+        raise CheckpointError(f"the weights in {args.checkpoint} give non-finite "
+                              f"embeddings on {g.name}")
     out_dir = _output_dir(args.out)
     records = []
     if args.task == "classify":

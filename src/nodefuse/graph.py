@@ -62,7 +62,8 @@ class Split:
 
 def build_graph(n_nodes: int, edge_list, features, labels=None,
                 n_classes=None, name: str = "") -> Graph:
-    """Dedup edges, drop self-loops; check edge ranges and finite features."""
+    """Dedup edges, drop self-loops; check edge ranges and that features and
+    their row squared norms are finite."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n_nodes:
         raise FormatError(
@@ -73,6 +74,7 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
         row, col = np.argwhere(~finite)[0]
         raise FormatError(f"non-finite feature {features[row, col]} "
                           f"at row {row}, column {col}")
+    _check_squared_norms(features)
     raw = np.asarray(edge_list, dtype=np.int64)
     if raw.size == 0:
         raw = raw.reshape(0, 2)
@@ -101,6 +103,25 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
     return Graph(n_nodes=n_nodes, edges=edges, features=features, labels=labels,
                  n_classes=n_classes, name=name,
                  n_dropped_lines=len(raw) - len(edges))
+
+
+def _check_squared_norms(features: np.ndarray):
+    """Raise a FormatError for the first row whose squared norm overflows the
+    features' dtype: the models and analyses all square the features."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.einsum("ij,ij->i", features, features))
+    if not finite.all():
+        raise FormatError(f"the squared norm of feature row {np.argmin(finite)} "
+                          f"overflows {features.dtype}")
+
+
+def features_as(g: Graph, dtype) -> np.ndarray:
+    """`g.features` cast to `dtype`; a row whose squared norm overflows it is a
+    FormatError."""
+    with np.errstate(over="ignore"):
+        x = g.features.astype(dtype)
+    _check_squared_norms(x)
+    return x
 
 
 def _loadtxt(path, dtype, **kwargs) -> np.ndarray:

@@ -224,7 +224,8 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a `save_checkpoint` file; any unreadable one is a CheckpointError."""
+    """Read a `save_checkpoint` file; an unreadable one, or one that holds a
+    non-finite weight, is a CheckpointError."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -237,4 +238,7 @@ def load_checkpoint(path) -> ModelParams:
     except (OSError, EOFError, ValueError, KeyError, TypeError, RuntimeError,
             zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path} is not a valid checkpoint: {exc}") from exc
+    for name, t in kwargs.items():
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(f"{path} holds a non-finite value in {name}")
     return ModelParams(dims=dims, **kwargs)

@@ -180,7 +180,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):    # exp(-a) = inf gives the limit 1/(1+inf) = 0
+        out = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g, grads):
         _accum(grads, a, g * out * (1.0 - out))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .augment import AugmentConfig, drop_edges, mask_features
 from .errors import ContractError, TrainingDiverged
-from .graph import Graph, normalized_adjacency_sparse
+from .graph import Graph, features_as, normalized_adjacency_sparse
 from .losses import (ContrastConfig, ControllerConfig, contrast_terms,
                      controller_loss)
 from .model import (EmbeddingSet, ModelDims, ModelParams, controller_lambda,
@@ -106,42 +106,109 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> Tensor
     return Tensor(keep)
 
 
-def _zero_grads(params: dict):
-    for t in params.values():
-        t.grad = None
-
-
 def _step(params: dict, state: AdamState, lr: float):
+    """One Adam step from the group's gradients, which it then clears."""
     arrays = {name: t.data for name, t in params.items()}
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for name, t in params.items()}
     adam_step(arrays, grads, state, lr)
+    for t in params.values():
+        t.grad = None
+
+
+def _clean_views(params: ModelParams, x: Tensor, adj) -> tuple[Tensor, Tensor]:
+    """The semantic and contextual encodings of the unperturbed graph."""
+    xw = first_layer_product(params, x)
+    return (encode_semantic(params, x, xw=xw),
+            encode_contextual(params, x, adj, xw=xw))
+
+
+def _fusion_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor, degree,
+                   fixed_lambda: float | None) -> Tensor:
+    """The N x 1 fusion weight as a constant: `fixed_lambda`, else the controller's."""
+    if fixed_lambda is not None:
+        return Tensor(np.full((h_s.rows, 1), fixed_lambda, dtype=h_s.data.dtype))
+    return controller_lambda(params, h_s, h_c, degree).lam.detach()
+
+
+def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamState,
+                   x: Tensor, adj, aug_rng, drop_rng, epoch: int) -> tuple[float, np.ndarray]:
+    """Contrast phase: omega and mu move, phi and lambda are frozen."""
+    x_aug = Tensor(mask_features(x.data, cfg.augment.p_s, aug_rng))
+    g_aug = drop_edges(g, cfg.augment.p_c, aug_rng)
+    adj_aug = normalized_adjacency_sparse(g_aug).astype(cfg.dtype)
+    masks = [_dropout_mask(drop_rng, (g.n_nodes, params.dims.f_embed),
+                           cfg.dropout, cfg.dtype) for _ in range(4)]
+
+    xw = first_layer_product(params, x)
+    encoded = [encode_semantic(params, x, masks[0], xw=xw),
+               encode_semantic(params, x_aug, masks[1]),
+               encode_contextual(params, x, adj, masks[2], xw=xw),
+               encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
+    # the heads start from leaves sharing the encodings' data, so each
+    # term's backward stops at them and the encoder is walked once below
+    h_s, h_s_aug, h_c, h_c_aug = leaves = [
+        Tensor(h.data, requires_grad=True) for h in encoded]
+    lam = _fusion_lambda(params, h_s, h_c, g.degree, cfg.fixed_lambda)
+    emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
+                       h_f=fuse(h_s, h_c, lam),
+                       h_f_aug=fuse(h_s_aug, h_c_aug, lam))
+    loss = 0.0
+    # backpropagate the heads term by term, so that one view's head tape
+    # is live at a time, into the projector and the four leaves
+    for term in contrast_terms(emb, params, cfg.contrast,
+                               include_semantic=cfg.include_semantic,
+                               include_context=cfg.include_context,
+                               include_fusion=cfg.include_fusion):
+        val = term.item()
+        if not np.isfinite(val):
+            raise TrainingDiverged(epoch, "contrast")
+        loss += val
+        T.backward(term)
+        del term    # frees this view's tape before the next view builds its own
+    # then the encoder once, seeded with the gradients the leaves gathered
+    T.backward(*[(h, leaf.grad) for h, leaf in zip(encoded, leaves)
+                 if leaf.grad is not None])
+    _step(params.contrast_params(), state, cfg.lr)
+    return loss, lam.data[:, 0]
+
+
+def _controller_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamState,
+                     x: Tensor, adj, epoch: int) -> tuple[float, np.ndarray]:
+    """Controller phase: phi moves against the detached clean encodings."""
+    h_s, h_c = _clean_views(params, x, adj)
+    weights = controller_lambda(params, h_s, h_c, g.degree)
+    closs = controller_loss(weights, h_s, h_c, cfg.controller)
+    loss = closs.item()
+    if not np.isfinite(loss):
+        raise TrainingDiverged(epoch, "controller")
+    T.backward(closs)
+    _step(params.controller_params(), state, cfg.lr_controller)
+    return loss, weights.values
 
 
 def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
     """Run the alternating loop and return per-epoch stats plus final params.
 
-    Each epoch: draw fresh augmentations; update encoder and projector by the
-    contrast objective with lambda held constant; then recompute the clean
-    view embeddings, detach them, and update the controller by its own
-    objective. At epoch 1 the lambda comes from the freshly initialized
-    controller.
+    Each epoch runs `_contrast_step`, which draws fresh augmentations and
+    updates encoder and projector with lambda held constant, then
+    `_controller_step`, which updates the controller against the detached
+    clean encodings. Each returns its loss and lambda as an array, never a
+    Tensor, so its tapes are freed when it returns. At epoch 1 the lambda
+    comes from the freshly initialized controller.
 
     `phase_hook(epoch, phase, params)` is invoked after each optimizer step
     with phase "contrast" or "controller"; useful for isolation checks.
     """
-    dtype = cfg.dtype
     master = np.random.default_rng(cfg.seed)
     init_rng, aug_rng, drop_rng = master.spawn(3)
 
-    dims = ModelDims(g.n_features, *cfg.dims)
-    params = init_params(init_rng, dims)
-    if dtype is np.float32:
-        params = params.astype(dtype)
+    params = init_params(init_rng, ModelDims(g.n_features, *cfg.dims))
+    if cfg.dtype is np.float32:
+        params = params.astype(cfg.dtype)
 
-    x = Tensor(g.features.astype(dtype))
-    adj = normalized_adjacency_sparse(g).astype(dtype)
-    train_ctrl = cfg.fixed_lambda is None
+    x = Tensor(features_as(g, cfg.dtype))
+    adj = normalized_adjacency_sparse(g).astype(cfg.dtype)
 
     contrast_state = AdamState()
     ctrl_state = AdamState()
@@ -151,78 +218,15 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-
-        x_aug = Tensor(mask_features(x.data, cfg.augment.p_s, aug_rng))
-        g_aug = drop_edges(g, cfg.augment.p_c, aug_rng)
-        adj_aug = normalized_adjacency_sparse(g_aug).astype(dtype)
-        n = g.n_nodes
-        masks = [_dropout_mask(drop_rng, (n, dims.f_embed), cfg.dropout, dtype)
-                 for _ in range(4)]
-
-        # contrast phase: omega and mu move, phi and lambda are frozen
-        xw = first_layer_product(params, x)
-        encoded = [encode_semantic(params, x, masks[0], xw=xw),
-                   encode_semantic(params, x_aug, masks[1]),
-                   encode_contextual(params, x, adj, masks[2], xw=xw),
-                   encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
-        # the heads start from leaves sharing the encodings' data, so each
-        # term's backward stops at them and the encoder is walked once below
-        h_s, h_s_aug, h_c, h_c_aug = leaves = [
-            Tensor(h.data, requires_grad=True) for h in encoded]
-        if cfg.fixed_lambda is not None:
-            lam_const = Tensor(np.full((n, 1), cfg.fixed_lambda, dtype=dtype))
-        else:
-            lam_const = controller_lambda(params, h_s, h_c, g.degree).lam.detach()
-        emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
-                           h_f=fuse(h_s, h_c, lam_const),
-                           h_f_aug=fuse(h_s_aug, h_c_aug, lam_const))
-        cparams = params.contrast_params()
-        _zero_grads(cparams)
-        loss_val = 0.0
-        # backpropagate the heads term by term, so that one view's head tape
-        # is live at a time, into the projector and the four leaves
-        for term in contrast_terms(emb, params, cfg.contrast,
-                                   include_semantic=cfg.include_semantic,
-                                   include_context=cfg.include_context,
-                                   include_fusion=cfg.include_fusion):
-            val = term.item()
-            if not np.isfinite(val):
-                raise TrainingDiverged(epoch, "contrast")
-            loss_val += val
-            T.backward(term)
-            del term    # frees this view's tape before the next view builds its own
-        # then the encoder once, seeded with the gradients the leaves gathered
-        T.backward(*[(h, leaf.grad) for h, leaf in zip(encoded, leaves)
-                     if leaf.grad is not None])
-        _step(cparams, contrast_state, cfg.lr)
-        # unbind this phase's tapes and inputs: left bound until the next
-        # epoch rebinds them, two epochs' tapes would be live at once
-        del x_aug, g_aug, adj_aug, masks, xw, encoded, leaves, emb
-        del h_s, h_s_aug, h_c, h_c_aug
+        loss_val, lam_vals = _contrast_step(g, cfg, params, contrast_state, x, adj,
+                                            aug_rng, drop_rng, epoch)
         if phase_hook is not None:
             phase_hook(epoch, "contrast", params)
-
-        # controller phase: phi moves against detached clean embeddings
         ctrl_val = 0.0
-        if train_ctrl:
-            xw = first_layer_product(params, x)
-            h_s_clean = encode_semantic(params, x, xw=xw)
-            h_c_clean = encode_contextual(params, x, adj, xw=xw)
-            weights = controller_lambda(params, h_s_clean, h_c_clean, g.degree)
-            closs = controller_loss(weights, h_s_clean, h_c_clean, cfg.controller)
-            ctrl_val = closs.item()
-            if not np.isfinite(ctrl_val):
-                raise TrainingDiverged(epoch, "controller")
-            pparams = params.controller_params()
-            _zero_grads(pparams)
-            T.backward(closs)
-            _step(pparams, ctrl_state, cfg.lr_controller)
+        if cfg.fixed_lambda is None:
+            ctrl_val, lam_vals = _controller_step(g, cfg, params, ctrl_state, x, adj, epoch)
             if phase_hook is not None:
                 phase_hook(epoch, "controller", params)
-            lam_vals = weights.values
-            del xw, h_s_clean, h_c_clean, weights, closs
-        else:
-            lam_vals = lam_const.data[:, 0]
 
         records.append(EpochRecord(
             epoch=epoch,
@@ -245,13 +249,8 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
 def embed(g: Graph, params: ModelParams, fixed_lambda: float | None = None) -> Tensor:
     """Deterministic inference: fused representations on the unperturbed graph."""
     _check_fixed_lambda(fixed_lambda)
-    x = Tensor(g.features.astype(params.enc_w1.data.dtype))
+    x = Tensor(features_as(g, params.enc_w1.data.dtype))
     adj = normalized_adjacency_sparse(g).astype(x.data.dtype)
-    xw = first_layer_product(params, x)
-    h_s = encode_semantic(params, x, xw=xw)
-    h_c = encode_contextual(params, x, adj, xw=xw)
-    if fixed_lambda is not None:
-        lam = Tensor(np.full((g.n_nodes, 1), fixed_lambda, dtype=x.data.dtype))
-    else:
-        lam = controller_lambda(params, h_s, h_c, g.degree).lam
+    h_s, h_c = _clean_views(params, x, adj)
+    lam = _fusion_lambda(params, h_s, h_c, g.degree, fixed_lambda)
     return fuse(h_s, h_c, lam).detach()

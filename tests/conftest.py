@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -50,6 +51,11 @@ def _drop_meta_key(key):
         {k: v for k, v in json.loads(t).items() if k != key}))
 
 
+def _huge_feature(t: str) -> str:
+    # finite in float64, but the squared norm of its row is not
+    return "1e300" + t[t.index(","):]
+
+
 # Edits that turn a valid labeled dataset directory into one that
 # load_graph must reject with a FormatError.
 MALFORMED = {
@@ -63,6 +69,7 @@ MALFORMED = {
                                      lambda t: "abc" + t[t.index(","):]),
     "features_nan": _rewrite("features.csv", lambda t: "nan" + t[t.index(","):]),
     "features_inf": _rewrite("features.csv", lambda t: "-inf" + t[t.index(","):]),
+    "features_square_overflows": _rewrite("features.csv", _huge_feature),
     "labels_non_numeric": _rewrite("labels.txt", lambda t: "x" + t[t.index("\n"):]),
     "meta_not_json": _rewrite("meta.json", lambda t: t[:-1]),
     "meta_not_utf8": _latin1_meta_name,
@@ -70,6 +77,19 @@ MALFORMED = {
     "meta_missing_n_features": _drop_meta_key("n_features"),
     "meta_missing_n_classes": _drop_meta_key("n_classes"),
 }
+
+
+def with_checkpoint_value(good: bytes, value: float, name: str = "enc_w1",
+                          at: float = 0.0) -> bytes:
+    """The checkpoint `good` with entry `at` (a fraction of the array's size)
+    of array `name` set to `value`, saved again as a valid archive."""
+    with np.load(io.BytesIO(good)) as data:
+        arrays = {key: data[key] for key in data.files}
+    target = arrays[name]
+    target.flat[min(int(target.size * at), target.size - 1)] = value
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 def dataset_dir(name: str) -> Path | None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from nodefuse import cli
 from nodefuse.cli import _SCHEMA, main
+from nodefuse.model import ModelParams
 
-from conftest import MALFORMED, random_graph, write_dataset
+from conftest import MALFORMED, random_graph, with_checkpoint_value, write_dataset
 
 
 @pytest.fixture
@@ -37,6 +39,12 @@ def write_config(tmp_path, dataset, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def set_first_feature(dataset, row, text):
+    lines = (dataset / "features.csv").read_text().splitlines()
+    lines[row] = text + lines[row][lines[row].index(","):]
+    (dataset / "features.csv").write_text("\n".join(lines) + "\n")
 
 
 class TestTrain:
@@ -137,6 +145,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "train_report.jsonl").read_text().splitlines()) == 3
 
+    def test_features_overflowing_float32_exit_2(self, tmp_path, dataset, capsys):
+        set_first_feature(dataset, 2, "1e100")
+        cfg = write_config(tmp_path, dataset, precision="float32")
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the squared norm of feature row 2 overflows float32\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("precision,tau", [("float32", 0.01), ("float64", 0.001)])
     def test_unrepresentable_denominator_exits_3(self, tmp_path, capsys,
                                                  precision, tau):
@@ -219,6 +236,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ckpt) in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    @pytest.mark.parametrize("task", ["classify", "cluster"])
+    def test_non_finite_weight_or_embedding_exits_4(self, tmp_path, dataset, task,
+                                                     value, capsys):
+        # nan and inf fail the load; 1e300 loads but overflows the embeddings
+        ckpt = train_checkpoint(tmp_path, dataset)
+        ckpt.write_bytes(with_checkpoint_value(ckpt.read_bytes(), value))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                   "--task", task, "--out", str(tmp_path / "eval")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("case", sorted(BAD_EVAL_ARGS))
     def test_bad_arguments_exit_2(self, tmp_path, dataset, case, capsys):
         ckpt = train_checkpoint(tmp_path, dataset)
@@ -231,6 +263,18 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "eval" / "eval_results.jsonl").exists()
+
+    def test_features_overflowing_float32_exit_2(self, tmp_path, dataset, capsys):
+        cfg = write_config(tmp_path, dataset, precision="float32")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        set_first_feature(dataset, 4, "-1e30")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
+                   "--dataset", str(dataset), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the squared norm of feature row 4 overflows float32\n")
+        assert not (tmp_path / "eval").exists()
 
     def test_feature_width_mismatch(self, tmp_path, dataset):
         ckpt = train_checkpoint(tmp_path, dataset)
@@ -354,6 +398,7 @@ _VALUES = {
     type(None): [None],
 }
 _FILES = ["meta.json", "edges.tsv", "features.csv", "labels.txt"]
+_WEIGHTS = [f.name for f in dataclasses.fields(ModelParams) if f.name != "dims"]
 _RATIO_PARTS = ["48", "32", "20", "0", "-1", "0.5", "a", "nan", "1e400", ""]
 
 
@@ -395,6 +440,10 @@ checkpoint_edits = st.one_of(
                                                   st.integers(1, 255)),
                                         min_size=1, max_size=3)),
     st.tuples(st.just("replace"), st.binary(max_size=64)),
+    # a byte flip only breaks the zip CRC: this edit writes a valid archive
+    # whose weights are not finite or overflow the embeddings
+    st.tuples(st.just("set"), st.sampled_from(_WEIGHTS), st.floats(0.0, 1.0),
+              st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300])),
 )
 
 # each eval example changes at most two of these from a valid run
@@ -433,6 +482,9 @@ def edit_checkpoint(data: bytes, edit) -> bytes:
         return bytes(out)
     if kind == "replace":
         return arg[0]
+    if kind == "set":
+        name, at, value = arg
+        return with_checkpoint_value(data, value, name, at)
     return data
 
 

@@ -167,6 +167,14 @@ class TestBuildGraph:
         with pytest.raises(FormatError, match="row 2, column 1"):
             build_graph(3, [(0, 1)], feats)
 
+    def test_overflowing_squared_norm_located(self):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = 1e200      # finite, but its square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="feature row 1 overflows float64"):
+                build_graph(3, [(0, 1)], feats)
+
 
 class TestNormalizedAdjacency:
     def test_isolated_node_self_loop(self):

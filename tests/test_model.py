@@ -14,7 +14,7 @@ from nodefuse.errors import CheckpointError, ContractError
 from nodefuse.graph import normalized_adjacency_sparse
 from nodefuse.model import degree_feature, first_layer_product
 
-from conftest import random_graph
+from conftest import random_graph, with_checkpoint_value
 
 DIMS = ModelDims(f_in=8, f_embed=5, f_proj=4, f_filter=3)
 
@@ -260,6 +260,8 @@ CORRUPT_CHECKPOINTS = {
     "truncated": lambda good: good[:len(good) // 2],
     "flipped_byte": lambda good: good[:100] + bytes([good[100] ^ 0xFF]) + good[101:],
     "encrypted_flag": _encrypted_flag,
+    "nan_weight": lambda good: with_checkpoint_value(good, np.nan),
+    "inf_weight": lambda good: with_checkpoint_value(good, -np.inf, "ctrl_b2"),
 }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestElementwise:
         x = Tensor([[0.0, 1.0, -1.0]], requires_grad=True)
         backward(T.sum_all(T.relu(x)))
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype,logit", [(np.float64, -1000.0), (np.float32, -100.0)])
+    def test_sigmoid_far_negative_is_zero_without_warning(self, dtype, logit):
+        # exp(-logit) overflows to inf, and 1/(1+inf) = 0 is the right limit
+        x = Tensor(np.array([[logit, 0.0]], dtype=dtype), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.sigmoid(x)
+            backward(T.sum_all(out))
+        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        assert out.data.tolist() == [[0.0, 0.5]]
+        assert x.grad.tolist() == [[0.0, 0.25]]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_grad_bitwise_equals_mask_product(self, dtype):

@@ -10,7 +10,7 @@ from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
                       train)
 from nodefuse import losses, training
 from nodefuse import tensor as T
-from nodefuse.errors import ContractError
+from nodefuse.errors import ContractError, FormatError
 from nodefuse.losses import contrast_loss
 from nodefuse.model import EmbeddingSet, fuse
 
@@ -187,6 +187,28 @@ class TestSplitBackward:
         assert len(refs) == 18
         assert alive == [0, 0, 0]
 
+    def test_controller_tapes_freed_before_next_epoch(self, graph, monkeypatch):
+        # concat_cols builds the controller's input, which every lambda's tape
+        # holds; a phase that returned lambda as a Tensor would keep it alive
+        refs, alive = [], []
+        concat, mask = T.concat_cols, training.mask_features
+
+        def tracked_concat(*args):
+            out = concat(*args)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        def checked_mask(*args):
+            alive.append(sum(r() is not None for r in refs))
+            return mask(*args)
+
+        monkeypatch.setattr(T, "concat_cols", tracked_concat)
+        monkeypatch.setattr(training, "mask_features", checked_mask)
+        train(graph, small_cfg(epochs=3))
+        # one lambda in the contrast phase and one in the controller's
+        assert len(refs) == 6
+        assert alive == [0, 0, 0]
+
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self, graph):
@@ -305,6 +327,18 @@ class TestConfigValidation:
         report = train(graph, small_cfg(epochs=1))
         with pytest.raises(ContractError, match="fixed_lambda"):
             embed(graph, report.params, fixed_lambda=value)
+
+    @pytest.mark.parametrize("value", [1e20, 1e100])
+    def test_features_overflowing_float32_rejected(self, graph, value):
+        features = graph.features.copy()
+        features[3, 1] = value      # its square overflows float32
+        bad = dataclasses.replace(graph, features=features)
+        with pytest.raises(FormatError, match="feature row 3 overflows float32"):
+            train(bad, small_cfg(epochs=1, precision="float32"))
+        report = train(graph, small_cfg(epochs=1, precision="float32"))
+        with pytest.raises(FormatError, match="feature row 3 overflows float32"):
+            embed(bad, report.params)
+        embed(bad, train(graph, small_cfg(epochs=1)).params)     # fine in float64
 
     def test_float32_mode_runs(self, graph):
         report = train(graph, small_cfg(epochs=2, precision="float32"))
