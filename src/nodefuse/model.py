@@ -137,9 +137,7 @@ def _encode(params: ModelParams, x: Tensor, adj, dropout_mask: Tensor | None,
             xw: Tensor | None) -> Tensor:
     if xw is None:
         xw = first_layer_product(params, x)
-    h = T.relu(_aggregate(adj, xw))
-    if dropout_mask is not None:
-        h = T.mul(h, dropout_mask)
+    h = T.relu(_aggregate(adj, xw), dropout_mask)
     return _aggregate(adj, T.matmul(h, params.enc_w2))
 
 
@@ -211,7 +209,7 @@ def fuse(h_s: Tensor, h_c: Tensor, lam: Tensor) -> Tensor:
     """Row i of the result is h_s[i] + lam[i] * h_c[i]."""
     if h_s.shape != h_c.shape:
         raise ContractError(f"fuse: shapes {h_s.shape} and {h_c.shape} differ")
-    return T.add(h_s, T.rowscale(h_c, lam))
+    return T.rowscale(h_c, lam, base=h_s)
 
 
 def save_checkpoint(params: ModelParams, path):

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from .errors import ContractError, DomainError, ShapeError
 
 _NORM_EPS = 1e-12
+_ADAM_SLICE = 2 ** 15     # elements per adam_step slice: 256 KB of float64
 
 
 class Tensor:
@@ -170,11 +171,20 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data + c, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, mask: Tensor | None = None) -> Tensor:
+    """max(a, 0), times `mask` when given (dropout after the relu) in the same
+    node, so the relu's own output is not kept; the mask takes no gradient."""
     out = np.maximum(a.data, 0.0)
+    if mask is not None:
+        _check_same_shape(a, mask, "relu")
+        out = out * mask.data
 
     def backward(g, grads):
-        _accum(grads, a, g * (out > 0.0))   # relu'(0) = 0; out > 0 iff a > 0
+        if mask is not None:
+            g = g * mask.data
+        # relu'(0) = 0: where the mask is nonzero, out != 0 iff a > 0, and
+        # where it is zero, g already is
+        _accum(grads, a, g * (out != 0.0))
 
     return _result(out, (a,), backward)
 
@@ -253,21 +263,34 @@ def concat_cols(tensors) -> Tensor:
     return _result(np.concatenate([t.data for t in tensors], axis=1), tensors, backward)
 
 
-def rowscale(a: Tensor, v: Tensor) -> Tensor:
-    """Scale row i of `a` by the scalar v[i]; v is Nx1."""
+def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
+    """Scale row i of `a` by the scalar v[i]; v is Nx1. With `base`, the
+    node is base + v * a, so the scaled rows are not kept."""
     if v.cols != 1 or v.rows != a.rows:
         raise ShapeError(f"rowscale: expected {a.rows}x1 weights, got {v.shape}")
+    out = a.data * v.data
+    if base is not None:
+        _check_same_shape(base, a, "rowscale")
+        out += base.data
 
     def backward(g, grads):
+        if base is not None:
+            _accum(grads, base, g)
         _accum(grads, a, g * v.data)
-        _accum(grads, v, (g * a.data).sum(axis=1, keepdims=True))
+        if _needs_grad(v):
+            _accum(grads, v, (g * a.data).sum(axis=1, keepdims=True))
 
-    return _result(a.data * v.data, (a, v), backward)
+    return _result(out, (a, v) if base is None else (a, v, base), backward)
 
 
 def normalize_rows(a: Tensor) -> Tensor:
-    """L2-normalize each row; rows with norm < 1e-12 become (and stay) zero."""
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    """L2-normalize each row; rows with norm < 1e-12 become (and stay) zero.
+
+    Each row is scaled by the power of two of its largest entry before its
+    norm is taken, so the squares cannot overflow; the scaling is exact.
+    """
+    _, e = np.frexp(np.abs(a.data).max(axis=1, keepdims=True))
+    norms = np.ldexp(np.linalg.norm(np.ldexp(a.data, -e), axis=1, keepdims=True), e)
     ok = norms >= _NORM_EPS
     inv = np.where(ok, 1.0 / np.where(ok, norms, 1.0), 0.0)
     out = a.data * inv
@@ -475,7 +498,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
 
     Every product and quotient is taken in the same order as in the textbook
     p -= lr * m_hat / (sqrt(v_hat) + eps), so updates are bitwise equal to
-    it, but into two scratch arrays per parameter, not a new array per operation.
+    it, but in place, on slices of rows of about _ADAM_SLICE elements that
+    stay in cache across the 14 passes, through two scratch arrays.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
@@ -489,18 +513,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        s, r = np.empty_like(p), np.empty_like(p)
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=s)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=s)
-        v += np.multiply(s, g, out=s)
-        np.divide(m, 1.0 - b1 ** t, out=s)          # m_hat
-        np.multiply(lr, s, out=s)
-        np.divide(v, 1.0 - b2 ** t, out=r)          # v_hat
-        np.sqrt(r, out=r)
-        r += eps
-        p -= np.divide(s, r, out=s)
+        rows = max(1, _ADAM_SLICE // max(1, p[:1].size))
+        s_buf, r_buf = np.empty_like(p[:rows]), np.empty_like(p[:rows])
+        for lo in range(0, len(p), rows):
+            pi, gi = p[lo:lo + rows], g[lo:lo + rows]
+            m, v = state.m[name][lo:lo + rows], state.v[name][lo:lo + rows]
+            s, r = s_buf[:len(pi)], r_buf[:len(pi)]
+            m *= b1
+            m += np.multiply(1.0 - b1, gi, out=s)
+            v *= b2
+            np.multiply(1.0 - b2, gi, out=s)
+            v += np.multiply(s, gi, out=s)
+            np.divide(m, 1.0 - b1 ** t, out=s)          # m_hat
+            np.multiply(lr, s, out=s)
+            np.divide(v, 1.0 - b2 ** t, out=r)          # v_hat
+            np.sqrt(r, out=r)
+            r += eps
+            pi -= np.divide(s, r, out=s)
     return params, state

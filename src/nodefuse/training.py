@@ -134,7 +134,9 @@ def _fusion_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor, degree,
 def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamState,
                    x: Tensor, adj, aug_rng, drop_rng, epoch: int) -> tuple[float, np.ndarray]:
     """Contrast phase: omega and mu move, phi and lambda are frozen."""
-    x_aug = Tensor(mask_features(x.data, cfg.augment.p_s, aug_rng))
+    # the masked view's x_aug @ enc_w1 is taken as x @ (keep * enc_w1 rows),
+    # so no masked copy of the features is made or kept on the tape
+    keep = mask_features(np.ones((1, x.cols), dtype=cfg.dtype), cfg.augment.p_s, aug_rng)
     g_aug = drop_edges(g, cfg.augment.p_c, aug_rng)
     adj_aug = normalized_adjacency_sparse(g_aug).astype(cfg.dtype)
     masks = [_dropout_mask(drop_rng, (g.n_nodes, params.dims.f_embed),
@@ -142,7 +144,8 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
 
     xw = first_layer_product(params, x)
     encoded = [encode_semantic(params, x, masks[0], xw=xw),
-               encode_semantic(params, x_aug, masks[1]),
+               encode_semantic(params, x, masks[1],
+                               xw=T.matmul(x, T.rowscale(params.enc_w1, Tensor(keep.T)))),
                encode_contextual(params, x, adj, masks[2], xw=xw),
                encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
     # the heads start from leaves sharing the encodings' data, so each

@@ -8,7 +8,7 @@ import pytest
 from nodefuse import (ModelDims, Tensor, backward, build_graph,
                       controller_lambda, drop_edges, encode_contextual,
                       encode_semantic, fuse, init_params, load_checkpoint,
-                      project, save_checkpoint)
+                      mask_features, project, save_checkpoint)
 from nodefuse import tensor as T
 from nodefuse.errors import CheckpointError, ContractError
 from nodefuse.graph import normalized_adjacency_sparse
@@ -226,6 +226,36 @@ def test_shared_first_layer_product_matches_separate_products(params):
 
     for separate, shared in zip(run(False), run(True)):
         assert np.abs(shared - separate).max() <= 1e-12 * max(1.0, np.abs(separate).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype):
+    # training encodes the feature-masked view as x @ (keep * enc_w1 rows),
+    # not as mask_features(x) @ enc_w1. Its enc_w1 gradient is summed with the
+    # clean view's, as in training: alone, a masked row's gradient is a BLAS
+    # sum of zeros (+0) one way and 0 * s, which keeps s's sign, the other
+    rng = np.random.default_rng(20)
+    g = random_graph(rng, n=12, f=8)
+    feats = g.features.astype(dtype)
+    feats[:, 3] = 0.0                   # a feature no node has
+    x = Tensor(feats)
+    drop = Tensor(((rng.random((12, 5)) >= 0.3) / 0.7).astype(dtype))
+    seeds = [rng.normal(size=(12, 5)).astype(dtype) for _ in range(2)]
+
+    def run(row_masked: bool):
+        p = init_params(np.random.default_rng(0), DIMS).astype(dtype)
+        keep_rng = np.random.default_rng(21)
+        if row_masked:
+            keep = mask_features(np.ones((1, 8), dtype=dtype), 0.5, keep_rng)
+            xw = T.matmul(x, T.rowscale(p.enc_w1, Tensor(keep.T)))
+            masked = encode_semantic(p, x, drop, xw=xw)
+        else:
+            masked = encode_semantic(p, Tensor(mask_features(feats, 0.5, keep_rng)), drop)
+        backward((encode_semantic(p, x), seeds[0]), (masked, seeds[1]))
+        return masked.data, p.enc_w1.grad
+
+    for new, old in zip(run(True), run(False)):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path, params):

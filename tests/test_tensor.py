@@ -119,6 +119,110 @@ class TestElementwise:
         assert x.grad.tobytes() == want.tobytes()
 
 
+def _fd_grad(loss_fn, p, h=1e-6):
+    """Central differences of the scalar loss_fn() in every entry of p.data."""
+    fd = np.zeros_like(p.data)
+    for idx in np.ndindex(p.shape):
+        orig = p.data[idx]
+        p.data[idx] = orig + h
+        lp = loss_fn().item()
+        p.data[idx] = orig - h
+        lm = loss_fn().item()
+        p.data[idx] = orig
+        fd[idx] = (lp - lm) / (2 * h)
+    return fd
+
+
+class TestFusedNodes:
+    """relu with a mask and rowscale with a base are single tape nodes; each
+    must equal, bit for bit, the ops it replaces."""
+
+    @staticmethod
+    def _signed_zero_inputs(rng, shape, dtype):
+        a = rng.normal(size=shape).astype(dtype)
+        a[0, :4] = [0.0, -0.0, 0.0, -0.0]
+        return a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["dropout", "positive"])
+    def test_relu_mask_bitwise_equals_relu_then_mul(self, dtype, kind):
+        rng = np.random.default_rng(12)
+        a = self._signed_zero_inputs(rng, (7, 6), dtype)
+        if kind == "dropout":       # zeros and the kept entries' 1 / (1 - rate)
+            m = (rng.random((7, 6)) >= 0.4).astype(dtype) / dtype(0.6)
+            m[0, :4] = [0.0, 0.0, 1.0 / 0.6, 1.0 / 0.6]
+        else:
+            m = rng.uniform(0.0, 2.0, size=(7, 6)).astype(dtype)
+        g = rng.normal(size=(7, 6)).astype(dtype)
+        g[0, :4] = [-1.0, -1.0, -1.0, -1.0]
+
+        x1, x2 = Tensor(a.copy(), requires_grad=True), Tensor(a.copy(), requires_grad=True)
+        fused = T.relu(x1, Tensor(m))
+        ref = T.mul(T.relu(x2), Tensor(m))
+        backward((fused, g))
+        backward((ref, g))
+        assert fused.data.tobytes() == ref.data.tobytes()
+        assert x1.grad.dtype == x2.grad.dtype
+        assert x1.grad.tobytes() == x2.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rowscale_base_bitwise_equals_add_of_rowscale(self, dtype):
+        rng = np.random.default_rng(13)
+
+        def leaves():
+            r = np.random.default_rng(14)
+            hs = self._signed_zero_inputs(r, (6, 5), dtype)
+            hc = self._signed_zero_inputs(r, (6, 5), dtype)[::-1].copy()
+            lam = r.uniform(size=(6, 1)).astype(dtype)
+            lam[:2] = [[0.0], [-0.0]]
+            return [Tensor(v, requires_grad=True) for v in (hs, hc, lam)]
+
+        g = rng.normal(size=(6, 5)).astype(dtype)
+        f, r = leaves(), leaves()
+        fused = T.rowscale(f[1], f[2], base=f[0])
+        ref = T.add(r[0], T.rowscale(r[1], r[2]))
+        backward((fused, g))
+        backward((ref, g))
+        assert fused.data.tobytes() == ref.data.tobytes()
+        for a, b in zip(f, r):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    def test_rowscale_constant_weights_take_no_gradient(self):
+        rng = np.random.default_rng(15)
+        a = rand_tensor(rng, (4, 3), requires_grad=True)
+        v = rand_tensor(rng, (4, 1))
+        backward(T.sum_all(T.rowscale(a, v, base=rand_tensor(rng, (4, 3)))))
+        assert v.grad is None
+        assert np.array_equal(a.grad, np.broadcast_to(v.data, (4, 3)))
+
+    def test_relu_mask_matches_finite_differences(self):
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(5, 4))
+        a[np.abs(a) < 0.1] = 0.5        # central differences need no kink within h
+        x = Tensor(a, requires_grad=True)
+        m = Tensor(rng.uniform(-2.0, 2.0, size=(5, 4)) * (rng.random((5, 4)) > 0.3))
+        w = Tensor(rng.normal(size=(4, 3)))
+
+        def loss_fn():
+            return T.sum_all(T.sigmoid(T.matmul(T.relu(x, m), w)))
+
+        backward(loss_fn())
+        np.testing.assert_allclose(x.grad, _fd_grad(loss_fn, x), rtol=1e-6, atol=1e-9)
+
+    def test_rowscale_base_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        hs, hc, lam = (rand_tensor(rng, shape, requires_grad=True)
+                       for shape in ((5, 3), (5, 3), (5, 1)))
+        w = Tensor(rng.normal(size=(3, 2)))
+
+        def loss_fn():
+            return T.sum_all(T.sigmoid(T.matmul(T.rowscale(hc, lam, base=hs), w)))
+
+        backward(loss_fn())
+        for p in (hs, hc, lam):
+            np.testing.assert_allclose(p.grad, _fd_grad(loss_fn, p), rtol=1e-6, atol=1e-9)
+
+
 class TestCosineRows:
     def test_self_similarity(self):
         v = Tensor([[1.0, 2.0, 2.0]])
@@ -285,6 +389,28 @@ class TestReductionsAndStructure:
         backward(T.sum_all(out))
         assert np.array_equal(x.grad, [[2.0, 2.0], [0.5, 0.5]])
         assert np.array_equal(v.grad, [[3.0], [7.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normalize_rows_bitwise_equals_unscaled_norm(self, dtype):
+        # in range, the power-of-two scaling leaves every bit of the result
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            a = (rng.normal(size=(6, 5)) * 10.0 ** rng.uniform(-8, 8, size=(6, 1)))
+            a = a.astype(dtype)
+            a[seed % 6] = 0.0
+            norms = np.linalg.norm(a, axis=1, keepdims=True)
+            ok = norms >= 1e-12
+            want = a * np.where(ok, 1.0 / np.where(ok, norms, 1.0), 0.0)
+            got = T.normalize_rows(Tensor(a)).data
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_normalize_rows_float32_huge_row_is_unit_without_warning(self):
+        x = Tensor(np.array([[1e20, 0.0], [3e20, 4e20]], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.normalize_rows(x).data
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, [[1.0, 0.0], [0.6, 0.8]], rtol=1e-6)
 
     def test_normalize_rows_zero_row(self):
         x = Tensor([[0.0, 0.0], [3.0, 4.0]], requires_grad=True)
@@ -456,15 +582,20 @@ class TestAdam:
             p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         rng = np.random.default_rng(11)
+        # "big" spans more than one slice and is not a multiple of one; its
+        # gradient is a transposed, non-contiguous view
+        big = (2 * (T._ADAM_SLICE // 7) + 5, 7)
         params = {"w": rng.normal(size=(7, 5)).astype(dtype),
-                  "b": np.zeros((1, 5), dtype=dtype)}
+                  "b": np.zeros((1, 5), dtype=dtype),
+                  "big": rng.normal(size=big).astype(dtype)}
         ref = {name: p.copy() for name, p in params.items()}
         moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in ref.items()}
         state = AdamState()
         for t in range(1, 6):
             grads = {"w": rng.normal(size=(7, 5)).astype(dtype),
                      "b": np.zeros((1, 5), dtype=dtype) if t % 2 else
-                     rng.normal(size=(1, 5)).astype(dtype)}
+                     rng.normal(size=(1, 5)).astype(dtype),
+                     "big": rng.normal(size=big[::-1]).astype(dtype).T}
             if t == 3:
                 grads["w"][:] = 0.0
             adam_step(params, grads, state, lr=0.01)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -208,6 +209,26 @@ class TestSplitBackward:
         # one lambda in the contrast phase and one in the controller's
         assert len(refs) == 6
         assert alive == [0, 0, 0]
+
+
+def test_contrast_step_keeps_no_copy_of_the_features():
+    # N x F dominates every other array here, so a masked feature copy on
+    # the tape would take the step's peak above half of x's bytes
+    rng = np.random.default_rng(22)
+    g = random_graph(rng, n=400, f=3000, p_edge=0.01)
+    cfg = small_cfg(dims=(8, 4, 3))
+    params = training.init_params(rng, training.ModelDims(g.n_features, *cfg.dims))
+    x = Tensor(g.features)
+    adj = training.normalized_adjacency_sparse(g)
+    aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
+    tracemalloc.start()
+    try:
+        training._contrast_step(g, cfg, params, T.AdamState(), x, adj,
+                                aug_rng, drop_rng, epoch=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes / 2
 
 
 class TestDeterminism:
