@@ -30,7 +30,6 @@ class ModelParams:
     controller MLP do. The three groups are disjoint.
     """
 
-    dims: ModelDims
     enc_w1: Tensor
     enc_w2: Tensor
     proj_w1: Tensor
@@ -43,6 +42,10 @@ class ModelParams:
     ctrl_b1: Tensor
     ctrl_w2: Tensor
     ctrl_b2: Tensor
+
+    @property
+    def dims(self) -> ModelDims:
+        return ModelDims(*self.enc_w1.shape, self.proj_w1.cols, self.filt_s.cols)
 
     def contrast_params(self) -> dict[str, Tensor]:
         return {"enc_w1": self.enc_w1, "enc_w2": self.enc_w2,
@@ -60,7 +63,7 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         kwargs = {name: Tensor(t.data.astype(dtype), requires_grad=True)
                   for name, t in self.all_params().items()}
-        return ModelParams(dims=self.dims, **kwargs)
+        return ModelParams(**kwargs)
 
 
 @dataclass
@@ -86,30 +89,27 @@ class FusionWeights:
         return self.lam.data[:, 0]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)),
-                  requires_grad=True)
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape, in the order `init_params` draws them."""
+    f, fe, fp, fg = dims.f_in, dims.f_embed, dims.f_proj, dims.f_filter
+    return {"enc_w1": (f, fe), "enc_w2": (fe, fe),
+            "proj_w1": (fe, fp), "proj_b1": (1, fp),
+            "proj_w2": (fp, fp), "proj_b2": (1, fp),
+            "filt_s": (fe, fg), "filt_c": (fe, fg),
+            "ctrl_w1": (2 * fg + 1, fg), "ctrl_b1": (1, fg),
+            "ctrl_w2": (fg, 1), "ctrl_b2": (1, 1)}
 
 
 def init_params(rng: np.random.Generator, dims: ModelDims) -> ModelParams:
-    f, fe, fp, fg = dims.f_in, dims.f_embed, dims.f_proj, dims.f_filter
-    ctrl_in = 2 * fg + 1
-    return ModelParams(
-        dims=dims,
-        enc_w1=_glorot(rng, f, fe),
-        enc_w2=_glorot(rng, fe, fe),
-        proj_w1=_glorot(rng, fe, fp),
-        proj_b1=Tensor(np.zeros((1, fp)), requires_grad=True),
-        proj_w2=_glorot(rng, fp, fp),
-        proj_b2=Tensor(np.zeros((1, fp)), requires_grad=True),
-        filt_s=_glorot(rng, fe, fg),
-        filt_c=_glorot(rng, fe, fg),
-        ctrl_w1=_glorot(rng, ctrl_in, fg),
-        ctrl_b1=Tensor(np.zeros((1, fg)), requires_grad=True),
-        ctrl_w2=_glorot(rng, fg, 1),
-        ctrl_b2=Tensor(np.zeros((1, 1)), requires_grad=True),
-    )
+    """Glorot-uniform weights, drawn in `param_shapes` order, and zero biases."""
+    def draw(name, fan_in, fan_out):
+        if "_b" in name:
+            return np.zeros((fan_in, fan_out))
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    return ModelParams(**{name: Tensor(draw(name, *shape), requires_grad=True)
+                          for name, shape in param_shapes(dims).items()})
 
 
 def _aggregate(adj, x: Tensor) -> Tensor:
@@ -213,30 +213,41 @@ def fuse(h_s: Tensor, h_c: Tensor, lam: Tensor) -> Tensor:
 
 
 def save_checkpoint(params: ModelParams, path):
-    d = params.dims
     arrays = {name: t.data for name, t in params.all_params().items()}
     with open(path, "wb") as fh:  # keep the exact filename (savez appends .npz)
-        np.savez(fh,
-                 __dims__=np.array([d.f_in, d.f_embed, d.f_proj, d.f_filter]),
-                 **arrays)
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a `save_checkpoint` file; an unreadable one, or one that holds a
-    non-finite weight, is a CheckpointError."""
+    """Read a `save_checkpoint` file, with the model's dims read off its
+    arrays. A file that is unreadable or lacks an array, or an array that is
+    not float32 or float64, not of enc_w1's dtype, not of the shape
+    `param_shapes` gives for those dims, or not finite, is a CheckpointError.
+    """
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
-    names = [f.name for f in fields(ModelParams) if f.name != "dims"]
     try:
         # a handle of our own: np.load leaks the one it opens on a corrupt archive
         with open(path, "rb") as fh, np.load(fh) as data:
-            dims = ModelDims(*(int(v) for v in data["__dims__"]))
-            kwargs = {name: Tensor(data[name], requires_grad=True) for name in names}
+            arrays = {f.name: data[f.name] for f in fields(ModelParams)}
     except (OSError, EOFError, ValueError, KeyError, TypeError, RuntimeError,
             zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path} is not a valid checkpoint: {exc}") from exc
-    for name, t in kwargs.items():
-        if not np.isfinite(t.data).all():
+    dtype = arrays["enc_w1"].dtype
+    if dtype not in (np.float32, np.float64):
+        raise CheckpointError(f"{path}: enc_w1 has dtype {dtype}, not float32 or float64")
+    for name, arr in arrays.items():
+        if arr.dtype != dtype:
+            raise CheckpointError(f"{path}: {name} has dtype {arr.dtype}, enc_w1 {dtype}")
+        if arr.ndim != 2:
+            raise CheckpointError(f"{path}: {name} has shape {arr.shape}, not 2-D")
+    params = ModelParams(**{name: Tensor(arr, requires_grad=True)
+                            for name, arr in arrays.items()})
+    for name, shape in param_shapes(params.dims).items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(f"{path}: {name} has shape {arrays[name].shape}, "
+                                  f"expected {shape} for {params.dims}")
+        if not np.isfinite(arrays[name]).all():
             raise CheckpointError(f"{path} holds a non-finite value in {name}")
-    return ModelParams(dims=dims, **kwargs)
+    return params

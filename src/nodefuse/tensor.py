@@ -64,13 +64,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
-
-
 def _result(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(_needs_grad(p) for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -78,7 +74,7 @@ def _result(data, parents, backward_fn) -> Tensor:
 
 
 def _accum(grads: dict, t: Tensor, g: np.ndarray):
-    if not _needs_grad(t):
+    if not t.requires_grad:
         return
     key = id(t)
     if key in grads:
@@ -113,9 +109,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g, grads):
         # a constant operand (the features in x @ enc_w1) takes no product
-        if _needs_grad(a):
+        if a.requires_grad:
             _accum(grads, a, g @ b.data.T)
-        if _needs_grad(b):
+        if b.requires_grad:
             _accum(grads, b, a.data.T @ g)
 
     return _result(a.data @ b.data, (a, b), backward)
@@ -277,7 +273,7 @@ def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
         if base is not None:
             _accum(grads, base, g)
         _accum(grads, a, g * v.data)
-        if _needs_grad(v):
+        if v.requires_grad:
             _accum(grads, v, (g * a.data).sum(axis=1, keepdims=True))
 
     return _result(out, (a, v) if base is None else (a, v, base), backward)
@@ -344,30 +340,30 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     are bounded by 1 and exp(t*s - t), with t = 1/tau, never overflows; the
     constant shift is added back to the loss.
 
-    No N x N array is made. The blocks exp(t*s - t) of zn.zn, an.an and
-    zn.an are made a tile of _ROW_BLOCK rows at a time in one reused buffer,
+    No N x N array is made. The forward and the backward share one walk
+    over the blocks exp(t*s - t) of zn.zn, an.an and zn.an (E_zz, E_aa,
+    E_za), which returns E_zz @ xz + E_za @ xa and E_aa @ xa + E_za^T @ xz.
+    It makes them a tile of _ROW_BLOCK rows at a time in one reused buffer,
     each tile by one GEMM already scaled and shifted, [t*zn, -t] @ [x, 1]^T,
     and one in-place exp. A tile of the symmetric self blocks covers only
-    the columns from its first row on: its row sums credit its rows and the
-    column sums right of its diagonal square credit those columns. A cross
-    tile credits the forward negatives of its rows and the backward
-    negatives of its columns; its shifted diagonal gives the positive terms
-    p_i, kept apart. The diagonals are zeroed before the sums: subtracting
-    them afterwards cancels catastrophically in float32 once the negatives
-    fall below about 1e-7 of the diagonal's 1 (small tau). For the same
-    reason an anchor's loss log(n_i + e^p_i) - p_i, with n_i its negatives,
-    is taken as log1p(n_i / e^p_i) while n_i < e^p_i: a near-zero loss keeps
-    its relative precision. A denominator so small that t / denominator
-    overflows (every term of its row underflowed) makes the loss NaN, with
-    no warning.
+    the columns from its first row on: it credits its rows, and its
+    transpose right of its diagonal square credits those columns. The cross
+    tile's shifted diagonal gives the positive terms p_i, kept apart. The
+    diagonals are zeroed first: subtracting them afterwards cancels
+    catastrophically in float32 once the negatives fall below about 1e-7 of
+    the diagonal's 1 (small tau). The forward walks with columns of ones,
+    which sum each anchor's negatives n_i. For the same reason an anchor's
+    loss log(n_i + e^p_i) - p_i is taken as log1p(n_i / e^p_i) while
+    n_i < e^p_i: a near-zero loss keeps its relative precision. A
+    denominator so small that t / denominator overflows (every term of its
+    row underflowed) makes the loss NaN, with no warning.
 
     Backward: the tiles are recomputed, not stored. With per-row weights
     w = t / (row denominator), the gradient through a symmetric self block E
     is (E * (w_i + w_j)) @ x = w * (E @ x) + E @ (w * x), and the cross
-    block expands the same way. So each tile takes GEMMs against an N x 2d
-    operand [x, w * x], one for its rows and, in a self block, one for the
-    columns right of its diagonal square. The positive pair's similarity
-    gets t * e^p_i * (1/d_fwd + 1/d_bwd) - 2t, taken without cancellation as
+    block expands the same way, so the walk takes the N x 2d operands
+    [x, w * x]. The positive pair's similarity gets
+    t * e^p_i * (1/d_fwd + 1/d_bwd) - 2t, taken without cancellation as
     -t * (n_fwd / d_fwd + n_bwd / d_bwd).
     """
     _check_same_shape(zn, an, "ntxent_view")
@@ -378,29 +374,32 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     z, a = zn.data, an.data
     dt = z.dtype
     ct = dt.type(t)
+    ones = np.ones((n, 1), dtype=dt)
 
     def gemm_operands(x):
-        x1 = np.hstack([x, np.ones((n, 1), dtype=dt)])
+        x1 = np.hstack([x, ones])
         xt = x1 * ct
         xt[:, d] = -ct
         return xt, x1           # [t*x, -t] and [x, 1]
 
-    def tile_buffer():
-        return np.empty(min(n, _ROW_BLOCK) * n, dtype=dt)
-
     zt, z1 = gemm_operands(z)
     at, a1 = gemm_operands(a)
-    buf = tile_buffer()
-    n_fwd = np.zeros(n, dtype=dt)   # negatives of each anchor's denominator
-    n_bwd = np.zeros(n, dtype=dt)
-    for left, right, neg in ((zt, z1, n_fwd), (at, a1, n_bwd)):
-        for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
-            neg[lo:hi] += tile.sum(axis=1)
-            neg[hi:] += tile[:, hi - lo:].sum(axis=0)
+
+    def walk(xz, xa, diag=None):
+        buf = np.empty(min(n, _ROW_BLOCK) * n, dtype=dt)
+        pz = np.zeros_like(xz)
+        pa = np.zeros_like(xa)
+        for left, right, x, p in ((zt, z1, xz, pz), (at, a1, xa, pa)):
+            for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
+                p[lo:hi] += tile @ x[lo:]
+                p[hi:] += tile[:, hi - lo:].T @ x[lo:hi]
+        for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=diag):
+            pz[lo:hi] += tile @ xa
+            pa += tile.T @ xz[lo:hi]
+        return pz, pa
+
     pos = np.empty(n, dtype=dt)     # t * (zn_i . an_i) - t
-    for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=pos):
-        n_fwd[lo:hi] += tile.sum(axis=1)
-        n_bwd += tile.sum(axis=0)
+    n_fwd, n_bwd = (p[:, 0] for p in walk(ones, ones, diag=pos))
     e_pos = np.exp(pos)
     d_fwd = n_fwd + e_pos
     d_bwd = n_bwd + e_pos
@@ -415,18 +414,7 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
         c = dt.type(g[0, 0])
         w_fwd = (c * t / d_fwd).astype(dt)[:, None]
         w_bwd = (c * t / d_bwd).astype(dt)[:, None]
-        xz = np.hstack([z, w_fwd * z])
-        xa = np.hstack([a, w_bwd * a])
-        pz = np.zeros_like(xz)
-        pa = np.zeros_like(xa)
-        buf = tile_buffer()
-        for left, right, x, p in ((zt, z1, xz, pz), (at, a1, xa, pa)):
-            for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
-                p[lo:hi] += tile @ x[lo:]
-                p[hi:] += tile[:, hi - lo:].T @ x[lo:hi]
-        for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False):
-            pz[lo:hi] += tile @ xa
-            pa += tile.T @ xz[lo:hi]
+        pz, pa = walk(np.hstack([z, w_fwd * z]), np.hstack([a, w_bwd * a]))
         # the positive pair: t * e^p * (1/d_fwd + 1/d_bwd) - 2t, per unit c
         pull = (c * t * (n_fwd / d_fwd + n_bwd / d_bwd)).astype(dt)[:, None]
         _accum(grads, zn, w_fwd * pz[:, :d] + pz[:, d:] - pull * a)
@@ -468,7 +456,7 @@ def backward(*roots):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and _needs_grad(p):
+            if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {}
@@ -480,7 +468,7 @@ def backward(*roots):
             continue
         if node._backward is not None:
             node._backward(g, grads)
-        elif node.requires_grad:
+        else:
             node.grad = g if node.grad is None else node.grad + g
 
 

@@ -79,17 +79,27 @@ MALFORMED = {
 }
 
 
-def with_checkpoint_value(good: bytes, value: float, name: str = "enc_w1",
-                          at: float = 0.0) -> bytes:
-    """The checkpoint `good` with entry `at` (a fraction of the array's size)
-    of array `name` set to `value`, saved again as a valid archive."""
+def with_checkpoint_arrays(good: bytes, make, names=None) -> bytes:
+    """The checkpoint `good` with each array named in `names` (every array
+    when None) replaced by make(array), saved again as a valid archive."""
     with np.load(io.BytesIO(good)) as data:
         arrays = {key: data[key] for key in data.files}
-    target = arrays[name]
-    target.flat[min(int(target.size * at), target.size - 1)] = value
+    for key in arrays if names is None else names:
+        arrays[key] = make(arrays[key])
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
+
+
+def with_checkpoint_value(good: bytes, value: float, name: str = "enc_w1",
+                          at: float = 0.0) -> bytes:
+    """The checkpoint `good` with entry `at` (a fraction of the array's size)
+    of array `name` set to `value`."""
+    def make(arr):
+        arr.flat[min(int(arr.size * at), arr.size - 1)] = value
+        return arr
+
+    return with_checkpoint_arrays(good, make, [name])
 
 
 def dataset_dir(name: str) -> Path | None:

@@ -13,7 +13,8 @@ from nodefuse import cli
 from nodefuse.cli import _SCHEMA, main
 from nodefuse.model import ModelParams
 
-from conftest import MALFORMED, random_graph, with_checkpoint_value, write_dataset
+from conftest import (MALFORMED, random_graph, with_checkpoint_arrays,
+                      with_checkpoint_value, write_dataset)
 
 
 @pytest.fixture
@@ -251,6 +252,16 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err
         assert not (tmp_path / "eval").exists()
 
+    def test_float16_checkpoint_exits_4(self, tmp_path, dataset, capsys):
+        ckpt = train_checkpoint(tmp_path, dataset)
+        ckpt.write_bytes(with_checkpoint_arrays(
+            ckpt.read_bytes(), lambda arr: arr.astype(np.float16)))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err
+
     @pytest.mark.parametrize("case", sorted(BAD_EVAL_ARGS))
     def test_bad_arguments_exit_2(self, tmp_path, dataset, case, capsys):
         ckpt = train_checkpoint(tmp_path, dataset)
@@ -398,7 +409,7 @@ _VALUES = {
     type(None): [None],
 }
 _FILES = ["meta.json", "edges.tsv", "features.csv", "labels.txt"]
-_WEIGHTS = [f.name for f in dataclasses.fields(ModelParams) if f.name != "dims"]
+_WEIGHTS = [f.name for f in dataclasses.fields(ModelParams)]
 _RATIO_PARTS = ["48", "32", "20", "0", "-1", "0.5", "a", "nan", "1e400", ""]
 
 
@@ -444,6 +455,12 @@ checkpoint_edits = st.one_of(
     # whose weights are not finite or overflow the embeddings
     st.tuples(st.just("set"), st.sampled_from(_WEIGHTS), st.floats(0.0, 1.0),
               st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300])),
+    # one array of another dtype, or of another shape (its values repeated)
+    st.tuples(st.just("retype"), st.sampled_from(_WEIGHTS),
+              st.sampled_from([np.float16, np.float32, np.float64, np.int64,
+                               np.bool_, np.complex128])),
+    st.tuples(st.just("reshape"), st.sampled_from(_WEIGHTS),
+              st.lists(st.integers(0, 7), max_size=3).map(tuple)),
 )
 
 # each eval example changes at most two of these from a valid run
@@ -485,6 +502,12 @@ def edit_checkpoint(data: bytes, edit) -> bytes:
     if kind == "set":
         name, at, value = arg
         return with_checkpoint_value(data, value, name, at)
+    if kind == "retype":
+        name, dtype = arg
+        return with_checkpoint_arrays(data, lambda arr: arr.astype(dtype), [name])
+    if kind == "reshape":
+        name, shape = arg
+        return with_checkpoint_arrays(data, lambda arr: np.resize(arr, shape), [name])
     return data
 
 

@@ -14,7 +14,7 @@ from nodefuse.errors import CheckpointError, ContractError
 from nodefuse.graph import normalized_adjacency_sparse
 from nodefuse.model import degree_feature, first_layer_product
 
-from conftest import random_graph, with_checkpoint_value
+from conftest import random_graph, with_checkpoint_arrays, with_checkpoint_value
 
 DIMS = ModelDims(f_in=8, f_embed=5, f_proj=4, f_filter=3)
 
@@ -269,6 +269,19 @@ def test_checkpoint_round_trip(tmp_path, params):
         load_checkpoint(tmp_path / "missing.ckpt")
 
 
+def test_checkpoint_with_dims_entry_loads(tmp_path, params):
+    # the format before the dims were read off the arrays had a __dims__ entry
+    path = tmp_path / "model.ckpt"
+    arrays = {name: t.data for name, t in params.all_params().items()}
+    with open(path, "wb") as fh:
+        np.savez(fh, __dims__=np.array([8, 5, 4, 3]), **arrays)
+    loaded = load_checkpoint(path)
+    assert loaded.dims == params.dims
+    for name, t in loaded.all_params().items():
+        assert t.data.dtype == arrays[name].dtype
+        assert t.data.tobytes() == arrays[name].tobytes()
+
+
 def _npy_bytes(_good):
     buf = io.BytesIO()
     np.save(buf, np.zeros(3))
@@ -282,6 +295,14 @@ def _encrypted_flag(good):
     return good[:at] + bytes([good[at] | 1]) + good[at + 1:]
 
 
+def _with_array(name, make):
+    return lambda good: with_checkpoint_arrays(good, make, [name])
+
+
+def _retyped(dtype):
+    return lambda good: with_checkpoint_arrays(good, lambda arr: arr.astype(dtype))
+
+
 CORRUPT_CHECKPOINTS = {
     "empty": lambda good: b"",
     "text": lambda good: b"not a checkpoint\n",
@@ -292,6 +313,13 @@ CORRUPT_CHECKPOINTS = {
     "encrypted_flag": _encrypted_flag,
     "nan_weight": lambda good: with_checkpoint_value(good, np.nan),
     "inf_weight": lambda good: with_checkpoint_value(good, -np.inf, "ctrl_b2"),
+    "float16": _retyped(np.float16),
+    "int64": _retyped(np.int64),
+    "complex": _retyped(np.complex128),
+    "mixed_float32": _with_array("proj_w2", lambda arr: arr.astype(np.float32)),
+    "enc_w1_3d": _with_array("enc_w1", lambda arr: arr[:, :, None]),
+    "enc_w2_not_square": _with_array("enc_w2", lambda arr: np.zeros((6, 7))),
+    "proj_b1_three_rows": _with_array("proj_b1", lambda arr: np.zeros((3, 4))),
 }
 
 
@@ -304,7 +332,7 @@ def test_corrupt_checkpoint_is_checkpoint_error(tmp_path, params, case):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("missing", ["__dims__", *init_params(
+@pytest.mark.parametrize("missing", [*init_params(
     np.random.default_rng(0), DIMS).all_params()])
 def test_checkpoint_missing_array_is_checkpoint_error(tmp_path, params, missing):
     path = tmp_path / "model.ckpt"
