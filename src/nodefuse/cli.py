@@ -107,9 +107,13 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
     if seed_override is not None:
         kwargs["seed"] = seed_override
     abl = cfg.get("ablation", {})
-    for view in ("semantic", "context", "fusion"):
-        if f"disable_{view}_contrast" in abl:
-            kwargs[f"include_{view}"] = not abl[f"disable_{view}_contrast"]
+    contrast = dict(cfg.get("contrast", {}))
+    if "disable_semantic_contrast" in abl:
+        contrast["include_semantic"] = not abl["disable_semantic_contrast"]
+    # a disabled term's weight is 0, whatever the contrast section sets
+    for view, beta in (("context", "beta1"), ("fusion", "beta2")):
+        if abl.get(f"disable_{view}_contrast"):
+            contrast[beta] = 0.0
     if "fixed_lambda" in abl:
         kwargs["fixed_lambda"] = abl["fixed_lambda"]
     if "dims" in kwargs:
@@ -118,7 +122,7 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
             raise ConfigError(f"train.dims entries must be integers, got {dims}")
         kwargs["dims"] = tuple(dims)
     try:
-        return TrainConfig(contrast=ContrastConfig(**cfg.get("contrast", {})),
+        return TrainConfig(contrast=ContrastConfig(**contrast),
                            controller=ControllerConfig(**cfg.get("controller", {})),
                            augment=AugmentConfig(**cfg.get("augment", {})),
                            **kwargs)

@@ -15,14 +15,17 @@ from .tensor import Tensor
 @dataclass(frozen=True)
 class ContrastConfig:
     tau: float = 0.5
-    beta1: float = 1.0   # weight of the contextual term
-    beta2: float = 1.0   # weight of the fusion term
+    beta1: float = 1.0   # weight of the contextual term; 0 skips the term
+    beta2: float = 1.0   # weight of the fusion term; 0 skips the term
+    include_semantic: bool = True   # False skips the semantic term
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ContractError(f"temperature must be positive, got {self.tau}")
         if self.beta1 < 0 or self.beta2 < 0:
             raise ContractError("beta weights must be nonnegative")
+        if not (self.include_semantic or self.beta1 or self.beta2):
+            raise ContractError("all three contrast terms are disabled")
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,9 @@ def view_loss(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
     return T.scale(total, 1.0 / (2.0 * n))
 
 
-def contrast_terms(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig,
-                   include_semantic: bool = True, include_context: bool = True,
-                   include_fusion: bool = True):
-    """Yield the enabled weighted view-loss terms one at a time.
+def contrast_terms(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig):
+    """Yield the weighted view-loss terms one at a time; a term whose weight
+    is zero is skipped, never built.
 
     A generator so callers can backpropagate each term before the next one is
     built; only one view's head tape (its projections and NT-Xent state, all
@@ -104,28 +106,20 @@ def contrast_terms(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig,
     that share the encodings' data, so each term's backward stops there, and
     then backpropagates the encoder once, seeded with the leaves' gradients.
     """
-    if not (include_semantic or include_context or include_fusion):
-        raise ContractError("at least one contrast term must be enabled")
-    if include_semantic:
+    if cfg.include_semantic:
         yield view_loss(project(params, emb.h_s),
                         project(params, emb.h_s_aug), cfg.tau)
-    if include_context:
-        yield T.scale(view_loss(project(params, emb.h_c),
-                                project(params, emb.h_c_aug), cfg.tau),
-                      cfg.beta1)
-    if include_fusion:
-        yield T.scale(view_loss(project(params, emb.h_f),
-                                project(params, emb.h_f_aug), cfg.tau),
-                      cfg.beta2)
+    for weight, z, z_aug in ((cfg.beta1, emb.h_c, emb.h_c_aug),
+                             (cfg.beta2, emb.h_f, emb.h_f_aug)):
+        if weight:
+            yield T.scale(view_loss(project(params, z), project(params, z_aug),
+                                    cfg.tau), weight)
 
 
-def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig,
-                  include_semantic: bool = True, include_context: bool = True,
-                  include_fusion: bool = True) -> Tensor:
+def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig) -> Tensor:
     """Weighted sum of the semantic, contextual, and fusion view losses."""
     total = None
-    for term in contrast_terms(emb, params, cfg, include_semantic,
-                               include_context, include_fusion):
+    for term in contrast_terms(emb, params, cfg):
         total = term if total is None else T.add(total, term)
     return total
 

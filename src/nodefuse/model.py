@@ -220,9 +220,10 @@ def save_checkpoint(params: ModelParams, path):
 
 def load_checkpoint(path) -> ModelParams:
     """Read a `save_checkpoint` file, with the model's dims read off its
-    arrays. A file that is unreadable or lacks an array, or an array that is
-    not float32 or float64, not of enc_w1's dtype, not of the shape
-    `param_shapes` gives for those dims, or not finite, is a CheckpointError.
+    arrays. A file that is unreadable or lacks an array, a width below 1, or
+    an array that is not float32 or float64, not of enc_w1's dtype, not of the
+    shape `param_shapes` gives for those dims, or not finite, is a
+    CheckpointError.
     """
     path = Path(path)
     if not path.is_file():
@@ -244,6 +245,9 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: {name} has shape {arr.shape}, not 2-D")
     params = ModelParams(**{name: Tensor(arr, requires_grad=True)
                             for name, arr in arrays.items()})
+    for f in fields(ModelDims):
+        if (width := getattr(params.dims, f.name)) < 1:
+            raise CheckpointError(f"{path}: width {f.name} is {width}, not positive")
     for name, shape in param_shapes(params.dims).items():
         if arrays[name].shape != shape:
             raise CheckpointError(f"{path}: {name} has shape {arrays[name].shape}, "

@@ -40,9 +40,6 @@ class TrainConfig:
     # returns the last epoch's parameters, not the best epoch's
     patience: int | None = 50
     precision: str = "float64"       # "float64" (test mode) or "float32"
-    include_semantic: bool = True
-    include_context: bool = True
-    include_fusion: bool = True
     fixed_lambda: float | None = None  # disables controller training when set
 
     def __post_init__(self):
@@ -61,8 +58,6 @@ class TrainConfig:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.precision not in ("float64", "float32"):
             raise ContractError(f"unknown precision {self.precision!r}")
-        if not (self.include_semantic or self.include_context or self.include_fusion):
-            raise ContractError("all three contrast terms are disabled")
         _check_fixed_lambda(self.fixed_lambda)
 
     @property
@@ -159,10 +154,7 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
     loss = 0.0
     # backpropagate the heads term by term, so that one view's head tape
     # is live at a time, into the projector and the four leaves
-    for term in contrast_terms(emb, params, cfg.contrast,
-                               include_semantic=cfg.include_semantic,
-                               include_context=cfg.include_context,
-                               include_fusion=cfg.include_fusion):
+    for term in contrast_terms(emb, params, cfg.contrast):
         val = term.item()
         if not np.isfinite(val):
             raise TrainingDiverged(epoch, "contrast")

@@ -202,7 +202,7 @@ def test_criterion_5_desk_scale_reproduction():
         splits = make_splits(g, (0.48, 0.32, 0.20), n_splits=10, seed=0)
         full = _probe_mean(g, splits, seed=0)
         contextual_only = _probe_mean(g, splits, seed=0, fixed_lambda=1.0,
-                                      include_semantic=False)
+                                      contrast=ContrastConfig(include_semantic=False))
         results[name] = (full, contextual_only)
         assert full >= 0.78, f"{name}: mean accuracy {full:.4f} < 0.78"
         assert full - contextual_only >= 0.03, (
@@ -248,9 +248,9 @@ def test_criterion_7_ablation_direction():
     splits = make_splits(g, (0.48, 0.32, 0.20), n_splits=10, seed=0)
     full = _probe_mean(g, splits, seed=0)
     ablations = {
-        "no_semantic": dict(include_semantic=False),
-        "no_context": dict(include_context=False),
-        "no_fusion": dict(include_fusion=False),
+        "no_semantic": dict(contrast=ContrastConfig(include_semantic=False)),
+        "no_context": dict(contrast=ContrastConfig(beta1=0.0)),
+        "no_fusion": dict(contrast=ContrastConfig(beta2=0.0)),
         "fixed_lambda_one": dict(fixed_lambda=1.0),
     }
     for label, over in ablations.items():

@@ -89,6 +89,30 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "disabled" in capsys.readouterr().err
 
+    def test_all_contrast_weights_zero(self, tmp_path, dataset, capsys):
+        cfg = write_config(tmp_path, dataset, contrast={"beta1": 0, "beta2": 0},
+                           ablation={"disable_semantic_contrast": True})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("view, beta", [("context", "beta1"), ("fusion", "beta2")])
+    def test_disabled_term_equals_zero_weight(self, tmp_path, dataset, view, beta):
+        # the ablation key wins over a weight the contrast section also sets
+        spellings = {"key": dict(contrast={beta: 0.7},
+                                 ablation={f"disable_{view}_contrast": True}),
+                     "weight": dict(contrast={beta: 0.0})}
+        for name, extra in spellings.items():
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, dataset, **extra)
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / name / "out")]) == 0
+        for file in ("train_report.jsonl", "model.ckpt"):
+            assert ((tmp_path / "key" / "out" / file).read_bytes()
+                    == (tmp_path / "weight" / "out" / file).read_bytes())
+
     def test_eval_section_is_unknown_field(self, tmp_path, dataset, capsys):
         # `eval` takes its settings from its flags only
         cfg = write_config(tmp_path, dataset, eval={"task": "classify", "n_splits": 3})

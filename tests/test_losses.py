@@ -159,8 +159,8 @@ class TestContrastLoss:
     def test_all_terms_disabled_rejected(self):
         params, emb = self._setup(3)
         with pytest.raises(ContractError):
-            contrast_loss(emb, params, ContrastConfig(), include_semantic=False,
-                          include_context=False, include_fusion=False)
+            contrast_loss(emb, params, ContrastConfig(include_semantic=False,
+                                                      beta1=0.0, beta2=0.0))
 
 
 class TestControllerLoss:

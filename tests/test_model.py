@@ -12,7 +12,7 @@ from nodefuse import (ModelDims, Tensor, backward, build_graph,
 from nodefuse import tensor as T
 from nodefuse.errors import CheckpointError, ContractError
 from nodefuse.graph import normalized_adjacency_sparse
-from nodefuse.model import degree_feature, first_layer_product
+from nodefuse.model import degree_feature, first_layer_product, param_shapes
 
 from conftest import random_graph, with_checkpoint_arrays, with_checkpoint_value
 
@@ -303,6 +303,15 @@ def _retyped(dtype):
     return lambda good: with_checkpoint_arrays(good, lambda arr: arr.astype(dtype))
 
 
+def _zero_width(*dims):
+    def make(_good):
+        buf = io.BytesIO()
+        np.savez(buf, **{name: np.ones(shape) for name, shape
+                         in param_shapes(ModelDims(*dims)).items()})
+        return buf.getvalue()
+    return make
+
+
 CORRUPT_CHECKPOINTS = {
     "empty": lambda good: b"",
     "text": lambda good: b"not a checkpoint\n",
@@ -320,6 +329,9 @@ CORRUPT_CHECKPOINTS = {
     "enc_w1_3d": _with_array("enc_w1", lambda arr: arr[:, :, None]),
     "enc_w2_not_square": _with_array("enc_w2", lambda arr: np.zeros((6, 7))),
     "proj_b1_three_rows": _with_array("proj_b1", lambda arr: np.zeros((3, 4))),
+    "zero_f_embed": _zero_width(6, 0, 4, 3),
+    "zero_f_proj": _zero_width(6, 5, 0, 3),
+    "zero_f_filter": _zero_width(6, 5, 4, 0),
 }
 
 

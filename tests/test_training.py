@@ -94,8 +94,8 @@ class TestSplitBackward:
     @pytest.mark.parametrize("lam", [0.0, 1.0, RANDOM_LAMBDA, None])
     @pytest.mark.parametrize("include", INCLUDES)
     def test_gradients_match_summed_loss(self, graph, monkeypatch, include, lam):
-        cfg = small_cfg(epochs=1, fixed_lambda=lam, include_semantic=include[0],
-                        include_context=include[1], include_fusion=include[2])
+        cfg = small_cfg(epochs=1, fixed_lambda=lam, contrast=ContrastConfig(
+            include_semantic=include[0], beta1=float(include[1]), beta2=float(include[2])))
         encoded, fuse_lams, made, checked = [], [], [], []
 
         def recording_fuse(h_s, h_c, lam_t):
@@ -114,7 +114,7 @@ class TestSplitBackward:
                 emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
                                    h_f=fuse(h_s, h_c, lam_t),
                                    h_f_aug=fuse(h_s_aug, h_c_aug, lam_t))
-                backward(contrast_loss(emb, made[0], cfg.contrast, *include))
+                backward(contrast_loss(emb, made[0], cfg.contrast))
                 for name, t in group.items():
                     scale = np.abs(t.grad).max()
                     assert scale > 0.0, name
@@ -170,6 +170,18 @@ class TestSplitBackward:
         monkeypatch.setattr(T, "ntxent_view", checked_view)
         train(graph, small_cfg(epochs=1))
         assert alive == [[], [False], [False, False]]
+
+    @pytest.mark.parametrize("off", [dict(beta1=0.0), dict(beta2=0.0),
+                                     dict(include_semantic=False)],
+                             ids=["context", "fusion", "semantic"])
+    def test_zero_weight_term_never_built(self, graph, monkeypatch, off):
+        calls = {"project": [], "ntxent_view": []}
+        for module, name in ((losses, "project"), (T, "ntxent_view")):
+            monkeypatch.setattr(module, name,
+                                _recording(getattr(module, name), calls[name].append))
+        train(graph, small_cfg(epochs=1, contrast=ContrastConfig(**off)))
+        assert {name: len(outs) for name, outs in calls.items()} == {
+            "project": 4, "ntxent_view": 2}
 
     def test_epoch_tapes_freed_before_next_epoch(self, graph, monkeypatch):
         refs, alive = [], []
@@ -338,8 +350,8 @@ class TestConfigValidation:
 
     def test_all_contrast_terms_disabled(self):
         with pytest.raises(ContractError):
-            TrainConfig(include_semantic=False, include_context=False,
-                        include_fusion=False)
+            TrainConfig(contrast=ContrastConfig(include_semantic=False,
+                                                beta1=0.0, beta2=0.0))
 
     @pytest.mark.parametrize("value", BAD_FIXED_LAMBDAS)
     def test_fixed_lambda_outside_unit_interval(self, graph, value):
