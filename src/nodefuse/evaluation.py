@@ -37,8 +37,7 @@ class ClusteringResult:
 
 
 def _as_array(x) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    return arr.astype(np.float64)
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def _first_argmax(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -59,11 +58,15 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     labels are read exactly once, at final scoring. The splits train as one
     model: row c*S + s of the weights is class c of split s, and Adam works
     element by element, so each split takes the steps it would take alone.
+    The embeddings are standardized in float64; float32 embeddings are then
+    probed in float32, any others in float64.
     """
-    x = _as_array(embeddings)
+    emb = _as_array(embeddings)
+    dtype = np.float32 if emb.dtype == np.float32 else np.float64
+    x = emb.astype(np.float64)
     y = np.asarray(labels, dtype=np.int64)
     std = x.std(axis=0)
-    x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    x = ((x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)).astype(dtype, copy=False)
     n_classes, n_splits = int(y.max()) + 1, len(splits)
     y_train = np.full((n_splits, len(y)), -1)   # a split's labels, -1 off its rows
     y_val = y_train.copy()
@@ -72,38 +75,45 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
             raise ContractError("linear probe train set contains a single class")
         y_train[i, split.train] = y[split.train]
         y_val[i, split.val] = y[split.val]
-    onehot = (y_train == np.arange(n_classes)[:, None, None]).astype(np.float64)
+    onehot = (y_train == np.arange(n_classes)[:, None, None]).astype(dtype)
     train = y_train >= 0   # the gradient divides by the train count, by inf off train
-    n_train = np.where(train, train.sum(axis=1, keepdims=True), np.inf)
+    n_train = np.where(train, train.sum(axis=1, keepdims=True), np.inf).astype(dtype)
     keep_last = (y_val < 0).all(axis=1)
     w = np.random.default_rng(seed).normal(0.0, 0.01, size=(x.shape[1], n_classes))
-    params = {"w": np.repeat(w.T, n_splits, axis=0), "b": np.zeros((n_classes * n_splits, 1))}
+    params = {"w": np.repeat(w.T, n_splits, axis=0).astype(dtype),
+              "b": np.zeros((n_classes * n_splits, 1), dtype)}
     best = {name: p.copy() for name, p in params.items()}
     best_correct, state = np.full(n_splits, -1), AdamState()
+    logits = np.empty((n_classes * n_splits, len(y)), dtype)
+    scores = logits.reshape(n_classes, n_splits, -1)   # (C, S, N) view of logits
+    top = np.empty(scores.shape[1:], dtype)
+    grad_w = np.empty_like(params["w"])
+    x_t = np.ascontiguousarray(x.T)   # a contiguous right factor multiplies faster
 
-    def logits_of(p):   # (C, S, N)
-        return (p["w"] @ x.T + p["b"]).reshape(n_classes, n_splits, -1)
+    def score(p):
+        np.add(np.matmul(p["w"], x_t, out=logits), p["b"], out=logits)
+        return scores
 
     for epoch in range(epochs + 1):
         # one product scores the last step's weights and takes the next step
-        logits = logits_of(params)
-        top = logits.max(axis=0)
+        np.max(score(params), axis=0, out=top)
         if epoch > 0:
-            correct = (_first_argmax(logits, top) == y_val).sum(axis=1)
+            correct = (_first_argmax(scores, top) == y_val).sum(axis=1)
             better = (correct > best_correct) | keep_last
             best_correct = np.where(better, correct, best_correct)
             take = np.tile(better, n_classes)[:, None]
             best = {name: np.where(take, p, best[name]) for name, p in params.items()}
         if epoch == epochs:
             break
-        diff = np.exp(logits - top)
-        diff /= diff.sum(axis=0)
-        diff -= onehot
-        diff /= n_train
-        adam_step(params, {"w": diff.reshape(-1, len(y)) @ x,
-                           "b": diff.sum(axis=2).reshape(-1, 1)}, state, _PROBE_LR)
+        scores -= top   # the logits become the softmax gradient in place
+        np.exp(logits, out=logits)
+        scores /= np.sum(scores, axis=0, out=top)
+        scores -= onehot
+        scores /= n_train
+        adam_step(params, {"w": np.matmul(logits, x, out=grad_w),
+                           "b": logits.sum(axis=1, keepdims=True)}, state, _PROBE_LR)
     scored = [split.test if len(split.test) > 0 else split.train for split in splits]
-    pred = logits_of(best).argmax(axis=0)
+    pred = score(best).argmax(axis=0)
     return ClassificationResult(
         accuracies=[float((p[rows] == y[rows]).mean()) for p, rows in zip(pred, scored)])
 
@@ -127,51 +137,77 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def lloyd(x: np.ndarray, centers: np.ndarray):
-    """Lloyd iterations until assignments stabilize.
+def _update_reseeding(x: np.ndarray, centers: np.ndarray, assign: np.ndarray):
+    """Update one restart's `centers` and `assign` in place, cluster by cluster:
+    an empty cluster takes the point farthest from its centroid so far."""
+    for c in range(len(centers)):
+        members = assign == c
+        if members.any():
+            centers[c] = x[members].mean(axis=0)
+        else:
+            far = ((x - centers[assign]) ** 2).sum(axis=1).argmax()
+            centers[c] = x[far]
+            assign[far] = c
 
-    Empty clusters are re-seeded from the point farthest from its centroid.
-    Returns (assignment, centers, per-iteration WCSS history).
+
+def lloyd(x: np.ndarray, centers: np.ndarray):
+    """Lloyd iterations for R restarts at once, each until its assignment stabilizes.
+
+    `centers` is (R, k, F). An iteration takes one product of `x` with the
+    centres of every restart still running, and assigns each point to the
+    centre of least |c|^2 - 2 x.c (|x|^2 is the same for all of a point's
+    centres); one more product sums each cluster's members. A restart with
+    an empty cluster is updated by `_update_reseeding` instead.
+    Returns (assignment (R, N), centers (R, k, F), final WCSS (R,)).
     """
     centers = centers.copy()
-    assign = None
-    history = []
-    for _ in range(_LLOYD_MAX_ITER):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        for c in range(len(centers)):
-            members = new_assign == c
-            if members.any():
-                centers[c] = x[members].mean(axis=0)
-            else:
-                far = ((x - centers[new_assign]) ** 2).sum(axis=1).argmax()
-                centers[c] = x[far]
-                new_assign[far] = c
-        history.append(_wcss(x, centers, new_assign))
-        if assign is not None and np.array_equal(assign, new_assign):
+    k, f = centers.shape[1:]
+    assign = np.zeros((len(centers), len(x)), dtype=np.int64)
+    running = np.arange(len(centers))
+    for it in range(_LLOYD_MAX_ITER):
+        old = centers[running]
+        flat = old.reshape(-1, f)
+        d2 = flat @ x.T
+        d2 *= -2.0
+        d2 += np.einsum("ij,ij->i", flat, flat)[:, None]
+        new = d2.reshape(len(running), k, -1).argmin(axis=1)   # (a, N)
+        member = new[:, None, :] == np.arange(k)[:, None]       # (a, k, N)
+        counts = member.sum(axis=2)
+        sums = member.reshape(len(flat), -1).astype(np.float64) @ x
+        fresh = sums.reshape(old.shape) / np.maximum(counts, 1)[..., None]
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            _update_reseeding(x, old[r], new[r])
+            fresh[r] = old[r]
+        done = (new == assign[running]).all(axis=1) & (it > 0)
+        centers[running] = fresh
+        assign[running] = new
+        running = running[~done]
+        if len(running) == 0:
             break
-        assign = new_assign
-    return assign, centers, history
+    # one mean per cluster, so that a partition's WCSS has the same bits
+    # whatever its labels, and equal partitions tie
+    for c, a in zip(centers, assign):
+        for j in np.unique(a):
+            c[j] = x[a == j].mean(axis=0)
+    return assign, centers, np.array([_wcss(x, c, a) for c, a in zip(centers, assign)])
 
 
 def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
-    """Best-of-restarts Lloyd's algorithm with k-means++ seeding."""
-    x = _as_array(embeddings)
+    """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
+
+    Every restart's seeding is drawn first, in restart order; then all the
+    restarts run as one batched `lloyd`, and the first of least WCSS wins.
+    """
+    x = _as_array(embeddings).astype(np.float64)
     n = len(x)
     if not 1 <= k <= n:
         raise ContractError(f"k must lie in [1, {n}], got {k}")
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
-    best_assign = None
-    best_score = np.inf
-    for _ in range(restarts):
-        centers = _plus_plus_init(x, k, rng)
-        assign, centers, history = lloyd(x, centers)
-        if history[-1] < best_score:
-            best_score = history[-1]
-            best_assign = assign
-    return best_assign
+    starts = np.stack([_plus_plus_init(x, k, rng) for _ in range(restarts)])
+    assign, _, wcss = lloyd(x, starts)
+    return assign[np.argmin(wcss)]
 
 
 def _contingency(pred, truth) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,11 @@ class ContrastConfig:
     include_semantic: bool = True   # False skips the semantic term
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ContractError(f"temperature must be positive, got {self.tau}")
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ContractError("beta weights must be nonnegative")
+        if not 0 < self.tau < math.inf:
+            raise ContractError(f"temperature must be positive and finite, got {self.tau}")
+        if not (0 <= self.beta1 < math.inf and 0 <= self.beta2 < math.inf):
+            raise ContractError("beta weights must be nonnegative and finite, got "
+                                f"{self.beta1} and {self.beta2}")
         if not (self.include_semantic or self.beta1 or self.beta2):
             raise ContractError("all three contrast terms are disabled")
 
@@ -37,8 +39,9 @@ class ControllerConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ContractError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ContractError("alpha weights must be nonnegative")
+        if not (0 <= self.alpha1 < math.inf and 0 <= self.alpha2 < math.inf):
+            raise ContractError("alpha weights must be nonnegative and finite, got "
+                                f"{self.alpha1} and {self.alpha2}")
 
 
 def _as_array(z) -> np.ndarray:

@@ -248,6 +248,15 @@ class TestEval:
                 in (out / "eval_results.jsonl").read_text().splitlines()]
         assert [r["metric"] for r in recs] == ["acc", "nmi", "ari"]
 
+    def test_cluster_rerun_byte_identical(self, tmp_path, dataset):
+        ckpt = train_checkpoint(tmp_path, dataset)
+        outs = [tmp_path / "eval_a", tmp_path / "eval_b"]
+        for out in outs:
+            assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                         "--task", "cluster", "--out", str(out)]) == 0
+        a, b = ((out / "eval_results.jsonl").read_bytes() for out in outs)
+        assert a == b
+
     def test_missing_checkpoint(self, tmp_path, dataset):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--dataset", str(dataset)])

@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nodefuse import (Split, ari, clustering_accuracy, evaluate_clustering,
                       kmeans, linear_probe, nmi)
 from nodefuse.errors import ContractError
-from nodefuse.evaluation import _first_argmax, lloyd
+from nodefuse.evaluation import _first_argmax, _plus_plus_init, lloyd
 from nodefuse.tensor import AdamState, adam_step
 
 
@@ -62,11 +62,16 @@ class TestLinearProbe:
 
 
 def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
-    """One logistic regression per split, trained one after another."""
-    x = np.asarray(x, dtype=np.float64)
+    """One logistic regression per split, trained one after another.
+
+    Standardizes in float64, then trains in float32 for float32 input and in
+    float64 for any other."""
+    x = np.asarray(x)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    x = x.astype(np.float64)
     y = np.asarray(y, dtype=np.int64)
     std = x.std(axis=0)
-    x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    x = ((x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)).astype(dtype)
     n_classes = int(y.max()) + 1
     accs = []
     for split in splits:
@@ -75,9 +80,9 @@ def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
             raise ContractError("linear probe train set contains a single class")
         rng = np.random.default_rng(seed)
         xtr = x[split.train]
-        onehot = np.eye(n_classes)[ytr]
-        w = rng.normal(0.0, 0.01, size=(x.shape[1], n_classes))
-        b = np.zeros((1, n_classes))
+        onehot = np.eye(n_classes, dtype=dtype)[ytr]
+        w = rng.normal(0.0, 0.01, size=(x.shape[1], n_classes)).astype(dtype)
+        b = np.zeros((1, n_classes), dtype)
         state = AdamState()
         best_val, best = -1.0, (w.copy(), b.copy())
         xval, yval = x[split.val], y[split.val]
@@ -96,6 +101,22 @@ def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
         rows = split.test if len(split.test) > 0 else split.train
         accs.append(float(((x[rows] @ bw + bb).argmax(axis=1) == y[rows]).mean()))
     return accs
+
+
+def first_gradients(x, y, splits, seed):
+    """Each split's first weight and bias gradients, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    std = x.std(axis=0)
+    x = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    n_classes = int(y.max()) + 1
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=(x.shape[1], n_classes))
+    for split in splits:
+        logits = x[split.train] @ w
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        diff = (e / e.sum(axis=1, keepdims=True) - np.eye(n_classes)[y[split.train]])
+        diff /= len(split.train)
+        yield x[split.train].T @ diff
+        yield diff.sum(axis=0)
 
 
 @st.composite
@@ -138,10 +159,123 @@ class TestLinearProbeMatchesReference:
         got = linear_probe(x, y, splits, epochs=epochs, seed=seed)
         assert got.accuracies == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(probe_cases())
+    def test_float32_accuracies_equal_per_split_loop(self, case):
+        x, y, splits, epochs, seed = case
+        x = x.astype(np.float32)
+        try:
+            expected = reference_linear_probe(x, y, splits, epochs=epochs, seed=seed)
+        except ContractError:
+            return   # the float64 test covers the rejection
+        # Adam's first step, g / (|g| + 1e-8), moves a weight by the full step
+        # size whatever |g| is. A gradient that is zero but for float32
+        # rounding (two balanced classes over every standardized row) then
+        # steps either way, by the order of its sum, so no exact answer exists.
+        assume(all(np.all((g == 0) | (np.abs(g) > 1e3 * np.finfo(np.float32).eps))
+                   for g in first_gradients(x, y, splits, seed)))
+        assert linear_probe(x, y, splits, epochs=epochs, seed=seed).accuracies == expected
+
     def test_first_argmax_breaks_ties_as_argmax(self):
         logits = np.random.default_rng(12).integers(0, 3, size=(4, 5, 30)).astype(float)
         assert np.array_equal(_first_argmax(logits, logits.max(axis=0)),
                               logits.argmax(axis=0))
+
+
+def reference_lloyd(x, centers):
+    """Lloyd iterations for one restart, one cluster at a time.
+
+    Empty clusters are re-seeded from the point farthest from its centroid.
+    Returns (assignment, centers, per-iteration WCSS history).
+    """
+    centers = centers.copy()
+    assign = None
+    history = []
+    for _ in range(300):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        for c in range(len(centers)):
+            members = new_assign == c
+            if members.any():
+                centers[c] = x[members].mean(axis=0)
+            else:
+                far = ((x - centers[new_assign]) ** 2).sum(axis=1).argmax()
+                centers[c] = x[far]
+                new_assign[far] = c
+        history.append(float(((x - centers[new_assign]) ** 2).sum()))
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+    return assign, centers, history
+
+
+def reference_kmeans(x, k, seed, restarts=10):
+    """Best-of-restarts k-means, each restart seeded and run in turn."""
+    rng = np.random.default_rng(seed)
+    best_assign, best_score = None, np.inf
+    for _ in range(restarts):
+        assign, _, history = reference_lloyd(x, _plus_plus_init(x, k, rng))
+        if history[-1] < best_score:
+            best_score, best_assign = history[-1], assign
+    return best_assign
+
+
+@st.composite
+def kmeans_cases(draw):
+    """(x, k, seed, restarts, separated): Gaussian points, or well-separated blobs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(1, 6))
+    separated = draw(st.booleans())
+    if separated:
+        k = draw(st.integers(1, 5))
+        x, _ = blobs(rng, k=k, per=draw(st.integers(1, 8)), f=f)
+    else:
+        n = draw(st.integers(1, 40))
+        k = draw(st.integers(1, min(n, 6)))
+        x = (draw(st.sampled_from([0.0, 100.0]))
+             + rng.normal(size=(n, f)) * draw(st.sampled_from([0.01, 1.0, 100.0])))
+    return x, k, draw(st.integers(0, 9)), draw(st.integers(1, 4)), separated
+
+
+class TestKmeansMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(kmeans_cases())
+    def test_batched_restarts_match_one_by_one(self, case):
+        x, k, seed, restarts, separated = case
+        rng = np.random.default_rng(seed)
+        starts = np.stack([_plus_plus_init(x, k, rng) for _ in range(restarts)])
+        assign, _, wcss = lloyd(x, starts)
+        for r, start in enumerate(starts):
+            ref_assign, _, history = reference_lloyd(x, start)
+            assert wcss[r] == pytest.approx(history[-1], rel=1e-9)
+            if separated:
+                assert np.array_equal(assign[r], ref_assign)
+        if separated:
+            assert np.array_equal(kmeans(x, k, seed, restarts),
+                                  reference_kmeans(x, k, seed, restarts))
+
+    def test_empty_cluster_reseeded_as_reference(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(30, 2))
+        starts = x[[[0, 0, 5], [3, 7, 7]]]   # a duplicated centre owns no point
+        assign, centers, wcss = lloyd(x, starts)
+        for r, start in enumerate(starts):
+            ref_assign, ref_centers, history = reference_lloyd(x, start)
+            assert np.array_equal(assign[r], ref_assign)
+            assert np.allclose(centers[r], ref_centers, rtol=1e-12, atol=1e-12)
+            assert wcss[r] == pytest.approx(history[-1], rel=1e-9)
+            assert len(np.unique(assign[r])) == 3
+
+    def test_single_restart(self):
+        x, _ = blobs(np.random.default_rng(15), k=4, per=10, spread=2.0)
+        assert np.array_equal(kmeans(x, 4, seed=3, restarts=1),
+                              reference_kmeans(x, 4, seed=3, restarts=1))
+
+    def test_k_equals_n(self):
+        x = np.random.default_rng(16).normal(size=(9, 3))
+        got = kmeans(x, 9, seed=2, restarts=3)
+        assert np.array_equal(got, reference_kmeans(x, 9, seed=2, restarts=3))
+        assert sorted(got) == list(range(9))
 
 
 class TestKmeans:
@@ -154,16 +288,23 @@ class TestKmeans:
     def test_k_equals_n_zero_wcss(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(8, 3))
-        assign, centers, history = lloyd(x, x.copy())
-        assert history[-1] == 0.0
-        assert sorted(assign) == list(range(8))
+        assign, centers, wcss = lloyd(x, x[None])
+        assert wcss[0] == 0.0
+        assert sorted(assign[0]) == list(range(8))
 
     def test_lloyd_wcss_monotone(self):
+        # WCSS does not rise from the starting centres' partition, and the
+        # centres returned are a fixed point of another run
         rng = np.random.default_rng(6)
         x = rng.normal(size=(60, 4))
-        centers = x[rng.choice(60, size=4, replace=False)]
-        _, _, history = lloyd(x, centers)
-        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        starts = np.stack([x[rng.choice(60, size=4, replace=False)] for _ in range(3)])
+        assign, centers, wcss = lloyd(x, starts)
+        for start, score in zip(starts, wcss):
+            first = ((x[:, None, :] - start) ** 2).sum(axis=2).min(axis=1).sum()
+            assert score <= first + 1e-9
+        again, _, wcss_again = lloyd(x, centers)
+        assert np.array_equal(again, assign)
+        assert np.allclose(wcss_again, wcss, rtol=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)

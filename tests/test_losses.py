@@ -163,6 +163,17 @@ class TestContrastLoss:
                                                       beta1=0.0, beta2=0.0))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("config, field", [
+    (ContrastConfig, "tau"), (ContrastConfig, "beta1"), (ContrastConfig, "beta2"),
+    (ControllerConfig, "alpha1"), (ControllerConfig, "alpha2")],
+    ids=["tau", "beta1", "beta2", "alpha1", "alpha2"])
+def test_non_finite_config_value_rejected(config, field, value):
+    # NaN passes a `< 0` check, and tau=inf trains at a constant loss
+    with pytest.raises(ContractError):
+        config(**{field: value})
+
+
 class TestControllerLoss:
     def test_zero_lambda_limit(self):
         rng = np.random.default_rng(6)
