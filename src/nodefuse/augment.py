@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import check_range
 from .graph import Graph
 
 
@@ -16,10 +16,8 @@ class AugmentConfig:
     p_c: float = 0.3       # edge drop probability
 
     def __post_init__(self):
-        if not (0.0 <= self.p_s < 1.0 and 0.0 <= self.p_c < 1.0):
-            raise ContractError(
-                f"augment probabilities must lie in [0, 1), got p_s={self.p_s}, p_c={self.p_c}"
-            )
+        check_range("p_s", self.p_s, 0, 1)
+        check_range("p_c", self.p_c, 0, 1)
 
 
 def mask_features(x, p_s: float, rng: np.random.Generator):
@@ -28,8 +26,7 @@ def mask_features(x, p_s: float, rng: np.random.Generator):
     One binary vector is drawn with keep probability 1 - p_s and applied to
     every row, so all nodes lose the same columns within a draw.
     """
-    if not 0.0 <= p_s < 1.0:
-        raise ContractError(f"p_s must lie in [0, 1), got {p_s}")
+    check_range("p_s", p_s, 0, 1)
     x = np.asarray(x)
     mask = (rng.random(x.shape[1]) >= p_s).astype(x.dtype)
     return x * mask
@@ -41,6 +38,5 @@ def drop_edges(g: Graph, p_c: float, rng: np.random.Generator) -> Graph:
     One Bernoulli draw per undirected pair keeps the adjacency symmetric.
     Features and labels are shared with the source graph.
     """
-    if not 0.0 <= p_c < 1.0:
-        raise ContractError(f"p_c must lie in [0, 1), got {p_c}")
+    check_range("p_c", p_c, 0, 1)
     return replace(g, edges=g.edges[rng.random(g.n_edges) >= p_c])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,29 +32,27 @@ class ConfigError(NodefuseError):
     pass
 
 
+# The type a key names is checked here; None leaves the value to the config
+# class it feeds, which checks that it is a number in range.
 _SCHEMA = {
     "dataset_dir": str,
     "output_dir": str,
-    "seed": int,
-    "precision": str,
-    "train": {
-        "lr": float,
-        "lr_controller": float,
-        "epochs": int,
-        "dropout": float,
-        "patience": (int, type(None)),
-        "dims": list,
-    },
-    "contrast": {"tau": float, "beta1": float, "beta2": float},
-    "controller": {"alpha1": float, "alpha2": float, "epsilon": float},
-    "augment": {"p_s": float, "p_c": float},
+    "seed": None,
+    "precision": None,
+    "train": dict.fromkeys(("lr", "lr_controller", "epochs", "dropout", "patience", "dims")),
+    "contrast": dict.fromkeys(("tau", "beta1", "beta2")),
+    "controller": dict.fromkeys(("alpha1", "alpha2", "epsilon")),
+    "augment": dict.fromkeys(("p_s", "p_c")),
     "ablation": {
         "disable_semantic_contrast": bool,
         "disable_context_contrast": bool,
         "disable_fusion_contrast": bool,
-        "fixed_lambda": (float, type(None)),
+        "fixed_lambda": None,
     },
 }
+# the config path of each config-class field a section sets, for messages
+_PATHS = {key: f"{name}.{key}" for name, section in _SCHEMA.items()
+          if isinstance(section, dict) for key in section}
 
 
 def _check_keys(cfg: dict, schema: dict, prefix: str = ""):
@@ -67,17 +64,9 @@ def _check_keys(cfg: dict, schema: dict, prefix: str = ""):
             if not isinstance(val, dict):
                 raise ConfigError(f"config field {prefix}{key} must be a section")
             _check_keys(val, expect, prefix=f"{prefix}{key}.")
-        else:
-            kinds = expect if isinstance(expect, tuple) else (expect,)
-            if float in kinds:
-                kinds = kinds + (int,)
-            if not isinstance(val, kinds) or (bool not in kinds and isinstance(val, bool)):
-                raise ConfigError(
-                    f"config field {prefix}{key} has wrong type "
-                    f"{type(val).__name__}"
-                )
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigError(f"config field {prefix}{key} must be finite, got {val}")
+        elif expect is not None and type(val) is not expect:
+            raise ConfigError(
+                f"config field {prefix}{key} has wrong type {type(val).__name__}")
 
 
 def load_config(path) -> dict:
@@ -99,7 +88,8 @@ def load_config(path) -> dict:
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
-    """A TrainConfig from the fields the config sets; TrainConfig has the defaults."""
+    """A TrainConfig from the fields the config sets; TrainConfig has the
+    defaults, and the config classes check every value."""
     kwargs = dict(cfg.get("train", {}))
     for key in ("seed", "precision"):
         if key in cfg:
@@ -116,18 +106,14 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
             contrast[beta] = 0.0
     if "fixed_lambda" in abl:
         kwargs["fixed_lambda"] = abl["fixed_lambda"]
-    if "dims" in kwargs:
-        dims = kwargs["dims"]
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
-            raise ConfigError(f"train.dims entries must be integers, got {dims}")
-        kwargs["dims"] = tuple(dims)
     try:
         return TrainConfig(contrast=ContrastConfig(**contrast),
                            controller=ControllerConfig(**cfg.get("controller", {})),
                            augment=AugmentConfig(**cfg.get("augment", {})),
                            **kwargs)
-    except (ContractError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except ContractError as exc:
+        where = f" (config field {_PATHS[exc.field]})" if exc.field in _PATHS else ""
+        raise ConfigError(f"{exc}{where}") from exc
 
 
 def _parse_ratio(text: str) -> tuple[float, float, float]:

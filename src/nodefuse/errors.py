@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one range check."""
+
+import numbers
 
 
 class NodefuseError(Exception):
@@ -14,7 +16,10 @@ class DomainError(NodefuseError):
 
 
 class ContractError(NodefuseError):
-    """A caller-facing precondition was violated."""
+    """A caller-facing precondition was violated; `field`, when set, names
+    the argument at fault."""
+
+    field: str | None = None
 
 
 class CheckpointError(ContractError):
@@ -40,3 +45,21 @@ class TrainingDiverged(NodefuseError):
         self.epoch = epoch
         self.phase = phase
         super().__init__(f"non-finite loss at epoch {epoch}, phase {phase!r}")
+
+
+def check_range(name: str, value, lo, hi, *, integer: bool = False,
+                lo_open: bool = False, hi_open: bool = True):
+    """Raise a ContractError naming `name` unless `value` is a real number (an
+    integral one if `integer`), not a bool, between `lo` and `hi`; an end is
+    closed unless its `*_open` flag is set. NaN fails every comparison and an
+    open infinite end rejects that infinity; numpy scalars are numbers.Real."""
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)):
+        return
+    interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+    error = ContractError(f"{name} must be {'an integer' if integer else 'a number'} "
+                          f"in {interval}, got {value!r}")
+    error.field = name
+    raise error

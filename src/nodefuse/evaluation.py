@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ContractError
+from .errors import ContractError, check_range
 from .graph import Split
 from .tensor import AdamState, Tensor, adam_step
 
@@ -61,6 +61,8 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     The embeddings are standardized in float64; float32 embeddings are then
     probed in float32, any others in float64.
     """
+    if not splits:
+        raise ContractError("linear probe needs at least one split")
     emb = _as_array(embeddings)
     dtype = np.float32 if emb.dtype == np.float32 else np.float64
     x = emb.astype(np.float64)
@@ -200,10 +202,8 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     """
     x = _as_array(embeddings).astype(np.float64)
     n = len(x)
-    if not 1 <= k <= n:
-        raise ContractError(f"k must lie in [1, {n}], got {k}")
-    if restarts < 1:
-        raise ContractError(f"restarts must be >= 1, got {restarts}")
+    check_range("k", k, 1, n, integer=True, hi_open=False)
+    check_range("restarts", restarts, 1, np.inf, integer=True)
     rng = np.random.default_rng(seed)
     starts = np.stack([_plus_plus_init(x, k, rng) for _ in range(restarts)])
     assign, _, wcss = lloyd(x, starts)

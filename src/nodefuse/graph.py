@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, FormatError, LoadError, SplitError
+from .errors import ContractError, FormatError, LoadError, SplitError, check_range
 
 _META_KEYS = ("n_nodes", "n_features", "n_classes")
 
@@ -229,8 +229,7 @@ def make_splits(g: Graph, ratio, n_splits: int, seed: int) -> list[Split]:
         raise ContractError("make_splits requires a labeled graph")
     if not (all(r >= 0 for r in ratio) and abs(sum(ratio) - 1.0) <= 1e-9):  # NaN fails
         raise ContractError(f"split ratio must be nonnegative and sum to 1, got {ratio}")
-    if n_splits < 1:
-        raise ContractError(f"n_splits must be >= 1, got {n_splits}")
+    check_range("n_splits", n_splits, 1, np.inf, integer=True)
     n = g.n_nodes
     n_train, n_val, n_test = _largest_remainder_sizes(n, ratio)
     classes = np.unique(g.labels)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_range
 from .model import EmbeddingSet, FusionWeights, ModelParams, project
 from . import tensor as T
 from .tensor import Tensor
@@ -21,11 +21,9 @@ class ContrastConfig:
     include_semantic: bool = True   # False skips the semantic term
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ContractError(f"temperature must be positive and finite, got {self.tau}")
-        if not (0 <= self.beta1 < math.inf and 0 <= self.beta2 < math.inf):
-            raise ContractError("beta weights must be nonnegative and finite, got "
-                                f"{self.beta1} and {self.beta2}")
+        check_range("tau", self.tau, 0, math.inf, lo_open=True)
+        check_range("beta1", self.beta1, 0, math.inf)
+        check_range("beta2", self.beta2, 0, math.inf)
         if not (self.include_semantic or self.beta1 or self.beta2):
             raise ContractError("all three contrast terms are disabled")
 
@@ -37,11 +35,9 @@ class ControllerConfig:
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ContractError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not (0 <= self.alpha1 < math.inf and 0 <= self.alpha2 < math.inf):
-            raise ContractError("alpha weights must be nonnegative and finite, got "
-                                f"{self.alpha1} and {self.alpha2}")
+        check_range("alpha1", self.alpha1, 0, math.inf)
+        check_range("alpha2", self.alpha2, 0, math.inf)
+        check_range("epsilon", self.epsilon, 0, 1, hi_open=False)
 
 
 def _as_array(z) -> np.ndarray:

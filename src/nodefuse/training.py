@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentConfig, drop_edges, mask_features
-from .errors import ContractError, TrainingDiverged
+from .errors import ContractError, TrainingDiverged, check_range
 from .graph import Graph, features_as, normalized_adjacency_sparse
 from .losses import (ContrastConfig, ControllerConfig, contrast_terms,
                      controller_loss)
@@ -18,11 +18,6 @@ from .model import (EmbeddingSet, ModelDims, ModelParams, controller_lambda,
                     fuse, init_params)
 from . import tensor as T
 from .tensor import AdamState, Tensor, adam_step
-
-
-def _check_fixed_lambda(value: float | None):
-    if value is not None and not 0.0 <= value <= 1.0:     # NaN fails too
-        raise ContractError(f"fixed_lambda must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +30,7 @@ class TrainConfig:
     contrast: ContrastConfig = field(default_factory=ContrastConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    dims: tuple[int, int, int] = (256, 64, 30)   # (f_embed, f_proj, f_filter)
+    dims: tuple[int, int, int] = (256, 64, 30)   # (f_embed, f_proj, f_filter); any 3-sequence
     # stop after `patience` epochs without a contrast-loss gain; train then
     # returns the last epoch's parameters, not the best epoch's
     patience: int | None = 50
@@ -43,22 +38,23 @@ class TrainConfig:
     fixed_lambda: float | None = None  # disables controller training when set
 
     def __post_init__(self):
-        if self.lr <= 0 or self.lr_controller <= 0:
-            raise ContractError("learning rates must be positive")
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise ContractError("dims must be three positive widths "
-                                f"[f_embed, f_proj, f_filter], got {list(self.dims)}")
-        if self.patience is not None and self.patience < 1:
-            raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
+        check_range("lr", self.lr, 0, np.inf, lo_open=True)
+        check_range("lr_controller", self.lr_controller, 0, np.inf, lo_open=True)
+        check_range("epochs", self.epochs, 1, np.inf, integer=True)
+        check_range("seed", self.seed, 0, np.inf, integer=True)
+        dims = tuple(self.dims) if np.iterable(self.dims) else ()
+        if len(dims) != 3:
+            raise ContractError(f"dims must be three widths, got {self.dims!r}")
+        for width in dims:
+            check_range("dims", width, 1, np.inf, integer=True)
+        object.__setattr__(self, "dims", dims)
+        if self.patience is not None:
+            check_range("patience", self.patience, 1, np.inf, integer=True)
+        check_range("dropout", self.dropout, 0, 1)
         if self.precision not in ("float64", "float32"):
             raise ContractError(f"unknown precision {self.precision!r}")
-        _check_fixed_lambda(self.fixed_lambda)
+        if self.fixed_lambda is not None:
+            check_range("fixed_lambda", self.fixed_lambda, 0, 1, hi_open=False)
 
     @property
     def dtype(self):
@@ -243,7 +239,8 @@ def train(g: Graph, cfg: TrainConfig, phase_hook=None) -> TrainReport:
 
 def embed(g: Graph, params: ModelParams, fixed_lambda: float | None = None) -> Tensor:
     """Deterministic inference: fused representations on the unperturbed graph."""
-    _check_fixed_lambda(fixed_lambda)
+    if fixed_lambda is not None:
+        check_range("fixed_lambda", fixed_lambda, 0, 1, hi_open=False)
     x = Tensor(features_as(g, params.enc_w1.data.dtype))
     adj = normalized_adjacency_sparse(g).astype(x.data.dtype)
     h_s, h_c = _clean_views(params, x, adj)

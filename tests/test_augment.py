@@ -105,3 +105,10 @@ def test_config_validates_probabilities():
         AugmentConfig(p_s=1.0)
     with pytest.raises(ContractError):
         AugmentConfig(p_c=-0.1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), True, False, "0.3"])
+@pytest.mark.parametrize("field", ["p_s", "p_c"])
+def test_config_rejects_non_numbers(field, value):
+    with pytest.raises(ContractError, match=field):
+        AugmentConfig(**{field: value})

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodefuse import cli
+from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
+                      TrainConfig, cli)
 from nodefuse.cli import _SCHEMA, main
 from nodefuse.model import ModelParams
 
@@ -46,6 +47,18 @@ def set_first_feature(dataset, row, text):
     lines = (dataset / "features.csv").read_text().splitlines()
     lines[row] = text + lines[row][lines[row].index(","):]
     (dataset / "features.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_schema_keys_are_config_fields():
+    # the schema is the one copy of the field names outside the config classes;
+    # build_train_config passes each of these keys to its class as a keyword
+    feeds = {"train": TrainConfig, "contrast": ContrastConfig,
+             "controller": ControllerConfig, "augment": AugmentConfig}
+    for section, config in feeds.items():
+        fields = {f.name for f in dataclasses.fields(config)}
+        assert set(_SCHEMA[section]) <= fields, section
+    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert {"seed", "precision", "fixed_lambda"} <= train_fields
 
 
 class TestTrain:
@@ -451,7 +464,8 @@ def _leaves(schema, prefix=()):
         if isinstance(kind, dict):
             yield from _leaves(kind, prefix + (key,))
         else:
-            yield prefix + (key,), kind if isinstance(kind, tuple) else (kind,)
+            # a key the schema leaves to its config class draws every kind
+            yield prefix + (key,), tuple(_VALUES) if kind is None else (kind,)
 
 
 _CONFIG_LEAVES = list(_leaves(_SCHEMA))

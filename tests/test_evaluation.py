@@ -60,6 +60,11 @@ class TestLinearProbe:
         with pytest.raises(ContractError):
             linear_probe(x, y, [s])
 
+    def test_no_splits_rejected(self):
+        x = np.random.default_rng(3).normal(size=(10, 4))
+        with pytest.raises(ContractError, match="split"):
+            linear_probe(x, np.arange(10) % 2, [])
+
 
 def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
     """One logistic regression per split, trained one after another.
@@ -319,6 +324,14 @@ class TestKmeans:
             kmeans(x, 6, seed=0)
         with pytest.raises(ContractError):
             kmeans(x, 0, seed=0)
+
+    @pytest.mark.parametrize("arg", ["k", "restarts"])
+    def test_non_integer_count_rejected(self, arg):
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        kwargs = {"k": 2, "restarts": 2, arg: 2.5}
+        with pytest.raises(ContractError, match=arg):
+            kmeans(x, seed=0, **kwargs)
+        kmeans(x, seed=0, **{**kwargs, arg: np.int64(2)})
 
 
 class TestClusteringAccuracy:

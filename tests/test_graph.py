@@ -261,6 +261,11 @@ class TestSplits:
         with pytest.raises(ContractError):
             make_splits(g, (0.5, 0.25, 0.25), 1, seed=0)
 
+    def test_non_integer_split_count_rejected(self):
+        g = random_graph(np.random.default_rng(7), n=10)
+        with pytest.raises(ContractError, match="n_splits"):
+            make_splits(g, (0.5, 0.25, 0.25), 2.5, seed=0)
+
 
 class TestNeighborhoodSimilarity:
     def test_identical_neighbor(self):

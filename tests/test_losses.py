@@ -163,15 +163,23 @@ class TestContrastLoss:
                                                       beta1=0.0, beta2=0.0))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   True, False])
 @pytest.mark.parametrize("config, field", [
     (ContrastConfig, "tau"), (ContrastConfig, "beta1"), (ContrastConfig, "beta2"),
-    (ControllerConfig, "alpha1"), (ControllerConfig, "alpha2")],
-    ids=["tau", "beta1", "beta2", "alpha1", "alpha2"])
+    (ControllerConfig, "alpha1"), (ControllerConfig, "alpha2"),
+    (ControllerConfig, "epsilon")],
+    ids=["tau", "beta1", "beta2", "alpha1", "alpha2", "epsilon"])
 def test_non_finite_config_value_rejected(config, field, value):
-    # NaN passes a `< 0` check, and tau=inf trains at a constant loss
-    with pytest.raises(ContractError):
+    # NaN passes a `< 0` check, tau=inf trains at a constant loss, and a
+    # bool is an int to Python: tau=True trained at tau 1
+    with pytest.raises(ContractError, match=field):
         config(**{field: value})
+
+
+def test_numpy_and_int_config_values_accepted():
+    assert ContrastConfig(tau=np.float32(0.5), beta1=np.int64(2), beta2=0).tau == 0.5
+    assert ControllerConfig(alpha1=1, epsilon=np.float64(0.25)).alpha1 == 1
 
 
 class TestControllerLoss:

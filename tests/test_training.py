@@ -344,6 +344,41 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             TrainConfig(dropout=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lr", "lr_controller"])
+    def test_non_finite_learning_rate(self, field, value):
+        # a NaN learning rate passed `lr <= 0` and then diverged in training
+        with pytest.raises(ContractError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["lr", "lr_controller", "epochs", "dropout",
+                                       "seed", "patience", "fixed_lambda", "dims"])
+    def test_bool_rejected(self, field, value):
+        # a bool is an int to Python, so False read as dropout 0, True as 1 epoch
+        over = {"dims": (6, value, 3)} if field == "dims" else {field: value}
+        with pytest.raises(ContractError, match=field):
+            small_cfg(**over)
+
+    @pytest.mark.parametrize("field", ["epochs", "seed", "patience", "dims"])
+    def test_non_integer_rejected(self, field):
+        over = {"dims": (6, 2.5, 3)} if field == "dims" else {field: 2.5}
+        with pytest.raises(ContractError, match=field):
+            small_cfg(**over)
+
+    def test_numpy_scalars_and_ints_accepted(self, graph):
+        assert TrainConfig(lr=1, lr_controller=np.float32(0.01)).lr == 1
+        cfg = small_cfg(epochs=np.int64(2), dropout=0,
+                        contrast=ContrastConfig(tau=np.float32(0.5)))
+        assert len(train(graph, cfg).records) == 2
+
+    def test_dims_stored_as_tuple(self):
+        assert small_cfg(dims=[6, np.int64(4), 3]).dims == (6, 4, 3)
+        with pytest.raises(ContractError, match="dims"):
+            small_cfg(dims=(6, 4))
+        with pytest.raises(ContractError, match="dims"):
+            small_cfg(dims=None)
+
     def test_bad_precision(self):
         with pytest.raises(ContractError):
             TrainConfig(precision="float16")
