@@ -161,8 +161,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ratio = _parse_ratio(args.ratio)
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     params = load_checkpoint(args.checkpoint)
     g = load_graph(args.dataset)
     if g.labels is None:

@@ -63,6 +63,8 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     """
     if not splits:
         raise ContractError("linear probe needs at least one split")
+    check_range("epochs", epochs, 0, np.inf, integer=True)
+    check_range("seed", seed, 0, np.inf, integer=True)
     emb = _as_array(embeddings)
     dtype = np.float32 if emb.dtype == np.float32 else np.float64
     x = emb.astype(np.float64)
@@ -204,6 +206,7 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     n = len(x)
     check_range("k", k, 1, n, integer=True, hi_open=False)
     check_range("restarts", restarts, 1, np.inf, integer=True)
+    check_range("seed", seed, 0, np.inf, integer=True)
     rng = np.random.default_rng(seed)
     starts = np.stack([_plus_plus_init(x, k, rng) for _ in range(restarts)])
     assign, _, wcss = lloyd(x, starts)

@@ -230,6 +230,7 @@ def make_splits(g: Graph, ratio, n_splits: int, seed: int) -> list[Split]:
     if not (all(r >= 0 for r in ratio) and abs(sum(ratio) - 1.0) <= 1e-9):  # NaN fails
         raise ContractError(f"split ratio must be nonnegative and sum to 1, got {ratio}")
     check_range("n_splits", n_splits, 1, np.inf, integer=True)
+    check_range("seed", seed, 0, np.inf, integer=True)
     n = g.n_nodes
     n_train, n_val, n_test = _largest_remainder_sizes(n, ratio)
     classes = np.unique(g.labels)

@@ -89,6 +89,7 @@ def view_loss(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
         raise ContractError("view_loss needs at least 2 nodes")
     if z.shape != z_aug.shape:
         raise ContractError(f"view_loss: shapes {z.shape} and {z_aug.shape} differ")
+    check_range("tau", tau, 0, math.inf, lo_open=True)
     zn = T.normalize_rows(z)
     an = T.normalize_rows(z_aug)
     total = T.ntxent_view(zn, an, 1.0 / tau)

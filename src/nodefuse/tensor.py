@@ -1,9 +1,15 @@
 """Dense 2-D tensors with reverse-mode automatic differentiation.
 
 Every value is a row-major matrix; scalars are 1x1. Operations record a tape
-of (parents, local-gradient) pairs and ``backward`` replays it once in reverse
-topological order. Float64 is the default so finite-difference checks are
-meaningful; float32 is accepted for fast training runs.
+of (parents, vector-Jacobian product) pairs and ``backward`` replays it once
+in reverse topological order. Float64 is the default so finite-difference
+checks are meaningful; float32 is accepted for fast training runs.
+
+The op protocol: an op's ``_backward(g)`` takes its output's gradient and
+returns its vector-Jacobian products, one entry per parent in ``_parents``
+order, each an array shaped like that parent, or None where the op skips a
+constant parent. ``backward`` alone sums the entries into the parents and
+writes leaf gradients to ``.grad``.
 """
 
 from __future__ import annotations
@@ -73,8 +79,8 @@ def _result(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accum(grads: dict, t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _accum(grads: dict, t: Tensor, g: np.ndarray | None):
+    if g is None or not t.requires_grad:
         return
     key = id(t)
     if key in grads:
@@ -107,12 +113,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
 
-    def backward(g, grads):
+    def backward(g):
         # a constant operand (the features in x @ enc_w1) takes no product
-        if a.requires_grad:
-            _accum(grads, a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(grads, b, a.data.T @ g)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _result(a.data @ b.data, (a, b), backward)
 
@@ -122,49 +126,29 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     adj = adj.tocsr()
     if adj.shape[1] != x.rows:
         raise ShapeError(f"spmm: inner dims of {adj.shape} and {x.shape} differ")
-
-    def backward(g, grads):
-        _accum(grads, x, adj.T @ g)
-
-    return _result(adj @ x.data, (x,), backward)
+    return _result(adj @ x.data, (x,), lambda g: (adj.T @ g,))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
-
-    def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.shape))
-        _accum(grads, b, _unbroadcast(g, b.shape))
-
-    return _result(a.data + b.data, (a, b), backward)
+    return _result(a.data + b.data, (a, b),
+                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
-
-    def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g * b.data, a.shape))
-        _accum(grads, b, _unbroadcast(g * a.data, b.shape))
-
-    return _result(a.data * b.data, (a, b), backward)
+    return _result(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def backward(g, grads):
-        _accum(grads, a, c * g)
-
-    return _result(c * a.data, (a,), backward)
+    return _result(c * a.data, (a,), lambda g: (c * g,))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def backward(g, grads):
-        _accum(grads, a, g)
-
-    return _result(a.data + c, (a,), backward)
+    return _result(a.data + c, (a,), lambda g: (g,))
 
 
 def relu(a: Tensor, mask: Tensor | None = None) -> Tensor:
@@ -175,12 +159,12 @@ def relu(a: Tensor, mask: Tensor | None = None) -> Tensor:
         _check_same_shape(a, mask, "relu")
         out = out * mask.data
 
-    def backward(g, grads):
+    def backward(g):
         if mask is not None:
             g = g * mask.data
         # relu'(0) = 0: where the mask is nonzero, out != 0 iff a > 0, and
         # where it is zero, g already is
-        _accum(grads, a, g * (out != 0.0))
+        return (g * (out != 0.0),)
 
     return _result(out, (a,), backward)
 
@@ -188,57 +172,36 @@ def relu(a: Tensor, mask: Tensor | None = None) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):    # exp(-a) = inf gives the limit 1/(1+inf) = 0
         out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g, grads):
-        _accum(grads, a, g * out * (1.0 - out))
-
-    return _result(out, (a,), backward)
+    return _result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt: negative input")
     out = np.sqrt(a.data)
-
-    def backward(g, grads):
-        safe = np.maximum(out, _NORM_EPS)
-        _accum(grads, a, g * 0.5 / safe)
-
-    return _result(out, (a,), backward)
+    return _result(out, (a,), lambda g: (g * 0.5 / np.maximum(out, _NORM_EPS),))
 
 
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)  # subgradient 0 at 0
-
-    def backward(g, grads):
-        _accum(grads, a, g * sign)
-
-    return _result(np.abs(a.data), (a,), backward)
+    return _result(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def backward(g, grads):
-        _accum(grads, a, np.full_like(a.data, g[0, 0]))
-
-    return _result(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,), backward)
+    return _result(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,),
+                   lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-
-    def backward(g, grads):
-        _accum(grads, a, np.full_like(a.data, g[0, 0] / n))
-
-    return _result(np.array([[a.data.mean()]], dtype=a.data.dtype), (a,), backward)
+    return _result(np.array([[a.data.mean()]], dtype=a.data.dtype), (a,),
+                   lambda g: (np.full_like(a.data, g[0, 0] / n),))
 
 
 def sum_rows(a: Tensor) -> Tensor:
     """Row sums as an Nx1 column."""
-
-    def backward(g, grads):
-        _accum(grads, a, np.broadcast_to(g, a.shape).copy())
-
-    return _result(a.data.sum(axis=1, keepdims=True), (a,), backward)
+    return _result(a.data.sum(axis=1, keepdims=True), (a,),
+                   lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def concat_cols(tensors) -> Tensor:
@@ -251,12 +214,8 @@ def concat_cols(tensors) -> Tensor:
             )
     widths = [t.cols for t in tensors]
     offsets = np.cumsum([0] + widths)
-
-    def backward(g, grads):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(grads, t, g[:, lo:hi])
-
-    return _result(np.concatenate([t.data for t in tensors], axis=1), tensors, backward)
+    return _result(np.concatenate([t.data for t in tensors], axis=1), tensors,
+                   lambda g: [g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
@@ -269,12 +228,11 @@ def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
         _check_same_shape(base, a, "rowscale")
         out += base.data
 
-    def backward(g, grads):
-        if base is not None:
-            _accum(grads, base, g)
-        _accum(grads, a, g * v.data)
-        if v.requires_grad:
-            _accum(grads, v, (g * a.data).sum(axis=1, keepdims=True))
+    def backward(g):
+        # constant weights (the keep row in x @ rowscale(enc_w1, keep.T))
+        # take no product
+        gv = (g * a.data).sum(axis=1, keepdims=True) if v.requires_grad else None
+        return (g * v.data, gv) if base is None else (g * v.data, gv, g)
 
     return _result(out, (a, v) if base is None else (a, v, base), backward)
 
@@ -291,9 +249,9 @@ def normalize_rows(a: Tensor) -> Tensor:
     inv = np.where(ok, 1.0 / np.where(ok, norms, 1.0), 0.0)
     out = a.data * inv
 
-    def backward(g, grads):
+    def backward(g):
         dot = (out * g).sum(axis=1, keepdims=True)
-        _accum(grads, a, (g - out * dot) * inv)
+        return ((g - out * dot) * inv,)
 
     return _result(out, (a,), backward)
 
@@ -410,15 +368,15 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
                    for neg, den in ((n_fwd, d_fwd), (n_bwd, d_bwd))]
     total = float((anchors[0] + anchors[1]).sum()) if finite else np.nan
 
-    def backward(g, grads):
+    def backward(g):
         c = dt.type(g[0, 0])
         w_fwd = (c * t / d_fwd).astype(dt)[:, None]
         w_bwd = (c * t / d_bwd).astype(dt)[:, None]
         pz, pa = walk(np.hstack([z, w_fwd * z]), np.hstack([a, w_bwd * a]))
         # the positive pair: t * e^p * (1/d_fwd + 1/d_bwd) - 2t, per unit c
         pull = (c * t * (n_fwd / d_fwd + n_bwd / d_bwd)).astype(dt)[:, None]
-        _accum(grads, zn, w_fwd * pz[:, :d] + pz[:, d:] - pull * a)
-        _accum(grads, an, w_bwd * pa[:, :d] + pa[:, d:] - pull * z)
+        return (w_fwd * pz[:, :d] + pz[:, d:] - pull * a,
+                w_bwd * pa[:, :d] + pa[:, d:] - pull * z)
 
     return _result(np.array([[total]], dtype=dt), (zn, an), backward)
 
@@ -467,7 +425,8 @@ def backward(*roots):
         if g is None:
             continue
         if node._backward is not None:
-            node._backward(g, grads)
+            for p, gp in zip(node._parents, node._backward(g)):
+                _accum(grads, p, gp)
         else:
             node.grad = g if node.grad is None else node.grad + g
 

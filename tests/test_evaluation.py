@@ -65,6 +65,18 @@ class TestLinearProbe:
         with pytest.raises(ContractError, match="split"):
             linear_probe(x, np.arange(10) % 2, [])
 
+    @pytest.mark.parametrize("arg, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("epochs", -1), ("epochs", 2.5), ("epochs", True)])
+    def test_bad_seed_or_epochs_rejected(self, arg, value):
+        # unchecked, numpy raises its own errors for such seeds, and
+        # epochs=-1 scores the untrained probe
+        x, y = blobs(np.random.default_rng(3), k=2, per=10)
+        kwargs = {"epochs": 2, "seed": 0, arg: value}
+        with pytest.raises(ContractError, match=arg):
+            linear_probe(x, y, [even_split(len(y), 0)], **kwargs)
+        linear_probe(x, y, [even_split(len(y), 0)], **{**kwargs, arg: np.int64(0)})
+
 
 def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
     """One logistic regression per split, trained one after another.
@@ -332,6 +344,12 @@ class TestKmeans:
         with pytest.raises(ContractError, match=arg):
             kmeans(x, seed=0, **kwargs)
         kmeans(x, seed=0, **{**kwargs, arg: np.int64(2)})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, float("nan")])
+    def test_bad_seed_rejected(self, seed):
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(ContractError, match="seed"):
+            kmeans(x, 2, seed=seed)
 
 
 class TestClusteringAccuracy:

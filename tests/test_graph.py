@@ -266,6 +266,12 @@ class TestSplits:
         with pytest.raises(ContractError, match="n_splits"):
             make_splits(g, (0.5, 0.25, 0.25), 2.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        g = random_graph(np.random.default_rng(7), n=10)
+        with pytest.raises(ContractError, match="seed"):
+            make_splits(g, (0.5, 0.25, 0.25), 1, seed=seed)
+
 
 class TestNeighborhoodSimilarity:
     def test_identical_neighbor(self):

@@ -177,6 +177,14 @@ def test_non_finite_config_value_rejected(config, field, value):
         config(**{field: value})
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf"), True])
+def test_view_loss_bad_tau_rejected(tau):
+    # unchecked, tau=0 divides by zero, NaN gives a NaN loss and -1 a finite one
+    z = Tensor(np.random.default_rng(4).normal(size=(5, 3)))
+    with pytest.raises(ContractError, match="tau"):
+        view_loss(z, T.scale(z, 2.0), tau)
+
+
 def test_numpy_and_int_config_values_accepted():
     assert ContrastConfig(tau=np.float32(0.5), beta1=np.int64(2), beta2=0).tau == 0.5
     assert ControllerConfig(alpha1=1, epsilon=np.float64(0.25)).alpha1 == 1

@@ -1,8 +1,11 @@
+import inspect
+import itertools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -613,3 +616,85 @@ class TestAdam:
         with pytest.raises(ContractError):
             adam_step({"w": np.zeros((2, 2))}, {"w": np.zeros((1, 2))},
                       AdamState(), lr=0.1)
+
+
+def _ring(n, dtype):
+    return sp.csr_matrix(np.eye(n, k=1) + np.eye(n, k=-1), dtype=dtype)
+
+
+def _mask(a):
+    keep = np.arange(a.data.size).reshape(a.shape) % 3 != 0
+    return Tensor(keep.astype(a.data.dtype))
+
+
+# Every differentiable op: (parent shapes, build from the parent tensors).
+# Parents hold positive unit rows, which every op's domain accepts.
+PROTOCOL_OPS = {
+    "matmul": ([(6, 4), (4, 3)], T.matmul),
+    "spmm": ([(6, 4)], lambda x: T.spmm(_ring(6, x.data.dtype), x)),
+    "add": ([(6, 4), (1, 4)], T.add),
+    "mul": ([(1, 4), (6, 4)], T.mul),
+    "scale": ([(6, 4)], lambda a: T.scale(a, -1.5)),
+    "add_scalar": ([(6, 4)], lambda a: T.add_scalar(a, 2.0)),
+    "relu": ([(6, 4)], T.relu),
+    "relu_mask": ([(6, 4)], lambda a: T.relu(a, mask=_mask(a))),
+    "sigmoid": ([(6, 4)], T.sigmoid),
+    "sqrt": ([(6, 4)], T.sqrt),
+    "absolute": ([(6, 4)], T.absolute),
+    "sum_all": ([(6, 4)], T.sum_all),
+    "mean_all": ([(6, 4)], T.mean_all),
+    "sum_rows": ([(6, 4)], T.sum_rows),
+    "concat_cols": ([(6, 2), (6, 3), (6, 1)], lambda *ts: T.concat_cols(ts)),
+    "rowscale": ([(6, 4), (6, 1)], T.rowscale),
+    "rowscale_base": ([(6, 4), (6, 1), (6, 4)],
+                      lambda a, v, base: T.rowscale(a, v, base=base)),
+    "normalize_rows": ([(6, 4)], T.normalize_rows),
+    "ntxent_view": ([(6, 4), (6, 4)], lambda z, a: T.ntxent_view(z, a, 2.0)),
+}
+
+
+def _protocol_node(op, pattern, dtype):
+    shapes, build = PROTOCOL_OPS[op]
+    rng = np.random.default_rng(17)
+    parents = []
+    for shape, needs in zip(shapes, pattern):
+        x = rng.uniform(0.5, 2.0, size=shape)
+        parents.append(Tensor((x / np.linalg.norm(x, axis=1, keepdims=True)).astype(dtype),
+                              requires_grad=needs))
+    out = build(*parents)
+    g = rng.normal(size=out.shape).astype(dtype)
+    return parents, out, out._backward(g)
+
+
+class TestOpProtocol:
+    """An op's `_backward(g)` returns one vector-Jacobian product per parent,
+    in `_parents` order; `backward` alone accumulates them."""
+
+    def test_every_op_is_listed(self):
+        ops = {name for name, fn in vars(T).items() if inspect.isfunction(fn)
+               and not name.startswith("_") and "_result(" in inspect.getsource(fn)}
+        assert ops == {op.split("_mask")[0].split("_base")[0] for op in PROTOCOL_OPS}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(PROTOCOL_OPS))
+    def test_one_entry_per_parent(self, op, dtype):
+        for pattern in itertools.product([True, False], repeat=len(PROTOCOL_OPS[op][0])):
+            if not any(pattern):
+                continue
+            parents, out, entries = _protocol_node(op, pattern, dtype)
+            assert [id(p) for p in out._parents] == [id(p) for p in parents]
+            assert len(entries) == len(out._parents)
+            for p, entry in zip(out._parents, entries):
+                if entry is None:
+                    assert not p.requires_grad, (op, pattern)
+                else:
+                    assert isinstance(entry, np.ndarray), (op, pattern)
+                    assert entry.shape == p.shape and entry.dtype == p.data.dtype
+
+    @pytest.mark.parametrize("op, pattern, skipped", [
+        ("matmul", (False, True), 0), ("matmul", (True, False), 1),
+        ("rowscale", (True, False), 1), ("rowscale_base", (True, False, True), 1)])
+    def test_constant_operand_takes_no_product(self, op, pattern, skipped):
+        # the features in x @ enc_w1 and the keep row in rowscale(enc_w1, keep.T)
+        _, _, entries = _protocol_node(op, pattern, np.float64)
+        assert entries[skipped] is None

@@ -80,9 +80,9 @@ def _recording(fn, record):
 def _wrap_backward(out, on_backward):
     inner = out._backward
     if inner is not None:
-        def counted(g, grads):
+        def counted(g):
             on_backward()
-            inner(g, grads)
+            return inner(g)
         out._backward = counted
     return out
 
