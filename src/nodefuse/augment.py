@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import check_range
+from .errors import ContractError, check_range
 from .graph import Graph
 
 
@@ -28,6 +28,8 @@ def mask_features(x, p_s: float, rng: np.random.Generator):
     """
     check_range("p_s", p_s, 0, 1)
     x = np.asarray(x)
+    if x.ndim != 2:
+        raise ContractError(f"mask_features takes a 2-D feature array, got shape {x.shape}")
     mask = (rng.random(x.shape[1]) >= p_s).astype(x.dtype)
     return x * mask
 

@@ -213,9 +213,18 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     return assign[np.argmin(wcss)]
 
 
+def _labeling(y) -> np.ndarray:
+    """`y` as int64 labels: a non-empty 1-D array of integer values >= 0."""
+    y = np.asarray(y)
+    if not (y.ndim == 1 and y.size and y.dtype.kind in "iuf" and np.isfinite(y).all()
+            and (y == np.trunc(y)).all() and (y >= 0).all()):
+        raise ContractError("a labeling must be a non-empty 1-D array of integers "
+                            f">= 0, got shape {y.shape}, dtype {y.dtype}")
+    return y.astype(np.int64)
+
+
 def _contingency(pred, truth) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred, truth = _labeling(pred), _labeling(truth)
     if pred.shape != truth.shape:
         raise ContractError(f"labelings differ in length: {pred.shape} vs {truth.shape}")
     kp = int(pred.max()) + 1
@@ -279,7 +288,7 @@ def ari(pred, truth) -> float:
 def evaluate_clustering(embeddings, labels, seed: int = 0,
                         restarts: int = 10) -> ClusteringResult:
     """k-means with k the number of classes in `labels`, scored against them."""
-    y = np.asarray(labels, dtype=np.int64)
+    y = _labeling(labels)
     assign = kmeans(embeddings, int(y.max()) + 1, seed=seed, restarts=restarts)
     return ClusteringResult(acc=clustering_accuracy(assign, y),
                             nmi=nmi(assign, y),

@@ -69,12 +69,7 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
         raise FormatError(
             f"features must be {n_nodes} rows, got shape {features.shape}"
         )
-    finite = np.isfinite(features)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise FormatError(f"non-finite feature {features[row, col]} "
-                          f"at row {row}, column {col}")
-    _check_squared_norms(features)
+    _check_squared_norms(features, locate_non_finite=True)
     raw = np.asarray(edge_list, dtype=np.int64)
     if raw.size == 0:
         raw = raw.reshape(0, 2)
@@ -105,14 +100,25 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
                  n_dropped_lines=len(raw) - len(edges))
 
 
-def _check_squared_norms(features: np.ndarray):
+def _check_squared_norms(features: np.ndarray, locate_non_finite: bool = False):
     """Raise a FormatError for the first row whose squared norm overflows the
-    features' dtype: the models and analyses all square the features."""
+    features' dtype: the models and analyses all square the features.
+
+    With `locate_non_finite`, the first non-finite entry, if there is one,
+    is reported instead. A row holding one has a non-finite squared norm, so
+    only those rows are scanned.
+    """
     with np.errstate(over="ignore"):
-        finite = np.isfinite(np.einsum("ij,ij->i", features, features))
-    if not finite.all():
-        raise FormatError(f"the squared norm of feature row {np.argmin(finite)} "
-                          f"overflows {features.dtype}")
+        bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", features, features)))
+    if not len(bad):
+        return
+    hits = np.argwhere(~np.isfinite(features[bad])) if locate_non_finite else ()
+    if len(hits):
+        row, col = bad[hits[0][0]], hits[0][1]
+        raise FormatError(f"non-finite feature {features[row, col]} "
+                          f"at row {row}, column {col}")
+    raise FormatError(f"the squared norm of feature row {bad[0]} "
+                      f"overflows {features.dtype}")
 
 
 def features_as(g: Graph, dtype) -> np.ndarray:
@@ -227,8 +233,10 @@ def make_splits(g: Graph, ratio, n_splits: int, seed: int) -> list[Split]:
     """Independent shuffled splits; every class must appear in train."""
     if g.labels is None:
         raise ContractError("make_splits requires a labeled graph")
-    if not (all(r >= 0 for r in ratio) and abs(sum(ratio) - 1.0) <= 1e-9):  # NaN fails
-        raise ContractError(f"split ratio must be nonnegative and sum to 1, got {ratio}")
+    if not (np.shape(ratio) == (3,) and all(r >= 0 for r in ratio)
+            and abs(sum(ratio) - 1.0) <= 1e-9):  # NaN fails
+        raise ContractError("split ratio must be three nonnegative fractions "
+                            f"that sum to 1, got {ratio}")
     check_range("n_splits", n_splits, 1, np.inf, integer=True)
     check_range("seed", seed, 0, np.inf, integer=True)
     n = g.n_nodes

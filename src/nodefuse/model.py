@@ -133,32 +133,34 @@ def first_layer_product(params: ModelParams, x: Tensor) -> Tensor:
     return T.matmul(x, params.enc_w1)
 
 
-def _encode(params: ModelParams, x: Tensor, adj, dropout_mask: Tensor | None,
+def _encode(params: ModelParams, x: Tensor, adj, dropout: tuple | None,
             xw: Tensor | None) -> Tensor:
     if xw is None:
         xw = first_layer_product(params, x)
-    h = T.relu(_aggregate(adj, xw), dropout_mask)
+    h = T.relu(_aggregate(adj, xw), *(dropout or ()))
     return _aggregate(adj, T.matmul(h, params.enc_w2))
 
 
 def encode_semantic(params: ModelParams, x: Tensor,
-                    dropout_mask: Tensor | None = None, *,
+                    dropout: tuple[np.ndarray, float] | None = None, *,
                     xw: Tensor | None = None) -> Tensor:
     """Per-node encoding with an identity adjacency: no cross-node mixing.
 
-    `xw` is `first_layer_product(params, x)` when the caller already has it.
+    `dropout` is a (boolean keep mask, scale) pair for the hidden layer, as
+    `T.relu` takes them. `xw` is `first_layer_product(params, x)` when the
+    caller already has it.
     """
-    return _encode(params, x, None, dropout_mask, xw)
+    return _encode(params, x, None, dropout, xw)
 
 
 def encode_contextual(params: ModelParams, x: Tensor, adj_hat,
-                      dropout_mask: Tensor | None = None, *,
+                      dropout: tuple[np.ndarray, float] | None = None, *,
                       xw: Tensor | None = None) -> Tensor:
     """Two aggregation rounds over the normalized adjacency, shared weights.
 
-    `xw` is `first_layer_product(params, x)` when the caller already has it.
+    `dropout` and `xw` are as in `encode_semantic`.
     """
-    return _encode(params, x, adj_hat, dropout_mask, xw)
+    return _encode(params, x, adj_hat, dropout, xw)
 
 
 def project(params: ModelParams, h: Tensor) -> Tensor:

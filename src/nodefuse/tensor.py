@@ -5,6 +5,11 @@ of (parents, vector-Jacobian product) pairs and ``backward`` replays it once
 in reverse topological order. Float64 is the default so finite-difference
 checks are meaningful; float32 is accepted for fast training runs.
 
+The tape is made of ``Node``s, not tensors: a tensor that takes a gradient
+points at its node, and a node's parents are nodes, so the tape holds no
+value. An op's backward closure captures only the arrays it reads; any
+other intermediate array dies as soon as the forward code drops its tensor.
+
 The op protocol: an op's ``_backward(g)`` takes its output's gradient and
 returns its vector-Jacobian products, one entry per parent in ``_parents``
 order, each an array shaped like that parent, or None where the op skips a
@@ -25,10 +30,22 @@ _NORM_EPS = 1e-12
 _ADAM_SLICE = 2 ** 15     # elements per adam_step slice: 256 KB of float64
 
 
-class Tensor:
-    """A 2-D matrix that can participate in a differentiation tape."""
+class Node:
+    """A tape vertex: parent nodes (None for a constant parent), the op's
+    vector-Jacobian closure (None for a leaf), and a leaf's gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward", "grad")
+
+    def __init__(self, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+
+
+class Tensor:
+    """A 2-D matrix; one that takes a gradient has a tape `node`."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -41,10 +58,31 @@ class Tensor:
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
+    @property
+    def _parents(self):
+        return () if self.node is None else self.node.parents
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node.backward = fn
 
     @property
     def shape(self):
@@ -71,25 +109,22 @@ class Tensor:
 
 
 def _result(data, parents, backward_fn) -> Tensor:
+    """The op's output; `backward_fn` must not close over `parents`, whose
+    arrays would then live as long as the tape."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    nodes = tuple(p.node for p in parents)
+    if any(nodes):
+        out.node = Node(nodes, backward_fn)
     return out
 
 
-def _accum(grads: dict, t: Tensor, g: np.ndarray | None):
-    if g is None or not t.requires_grad:
+def _accum(grads: dict, node: Node | None, g: np.ndarray | None):
+    if g is None or node is None:
         return
-    key = id(t)
-    if key in grads:
-        grads[key] = grads[key] + g
-    else:
-        grads[key] = g
+    grads[node] = grads[node] + g if node in grads else g
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
+def _check_same_shape(a, b, op: str):
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
@@ -113,12 +148,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
 
-    def backward(g):
-        # a constant operand (the features in x @ enc_w1) takes no product
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _result(a.data @ b.data, (a, b), backward)
+    # each operand's product reads the other's array, and a constant operand
+    # (the features in x @ enc_w1) takes no product
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    return _result(a.data @ b.data, (a, b), lambda g: (
+        None if bd is None else g @ bd.T, None if ad is None else ad.T @ g))
 
 
 def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
@@ -131,14 +166,19 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
+    sa, sb = a.shape, b.shape
     return _result(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     return _result(a.data * b.data, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+        None if bd is None else _unbroadcast(g * bd, sa),
+        None if ad is None else _unbroadcast(g * ad, sb)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -151,20 +191,26 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data + c, (a,), lambda g: (g,))
 
 
-def relu(a: Tensor, mask: Tensor | None = None) -> Tensor:
-    """max(a, 0), times `mask` when given (dropout after the relu) in the same
-    node, so the relu's own output is not kept; the mask takes no gradient."""
+def relu(a: Tensor, keep: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
+    """max(a, 0); with a boolean `keep` mask (dropout after the relu), the
+    kept entries times `scale` and the others 0, in the same node, so the
+    relu's own output is not kept.
+
+    Both passes have the bits of a product with the float mask keep * scale,
+    at every entry, infinite and NaN ones too; the backward reads `out` and
+    `keep`.
+    """
     out = np.maximum(a.data, 0.0)
-    if mask is not None:
-        _check_same_shape(a, mask, "relu")
-        out = out * mask.data
+    if keep is not None:
+        _check_same_shape(a, keep, "relu")
+        out *= keep
+        out *= scale
 
     def backward(g):
-        if mask is not None:
-            g = g * mask.data
-        # relu'(0) = 0: where the mask is nonzero, out != 0 iff a > 0, and
-        # where it is zero, g already is
-        return (g * (out != 0.0),)
+        # relu'(0) = 0; a kept entry's out != 0 iff a > 0, for scale >= 1
+        if keep is None:
+            return (g * (out != 0.0),)
+        return (g * scale * (keep & (out != 0.0)),)
 
     return _result(out, (a,), backward)
 
@@ -188,20 +234,22 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _result(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,),
-                   lambda g: (np.full_like(a.data, g[0, 0]),))
+    shape, dt = a.shape, a.data.dtype
+    return _result(np.array([[a.data.sum()]], dtype=dt), (a,),
+                   lambda g: (np.full(shape, g[0, 0], dtype=dt),))
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    return _result(np.array([[a.data.mean()]], dtype=a.data.dtype), (a,),
-                   lambda g: (np.full_like(a.data, g[0, 0] / n),))
+    shape, dt, n = a.shape, a.data.dtype, a.data.size
+    return _result(np.array([[a.data.mean()]], dtype=dt), (a,),
+                   lambda g: (np.full(shape, g[0, 0] / n, dtype=dt),))
 
 
 def sum_rows(a: Tensor) -> Tensor:
     """Row sums as an Nx1 column."""
+    shape = a.shape
     return _result(a.data.sum(axis=1, keepdims=True), (a,),
-                   lambda g: (np.broadcast_to(g, a.shape).copy(),))
+                   lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def concat_cols(tensors) -> Tensor:
@@ -228,13 +276,18 @@ def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
         _check_same_shape(base, a, "rowscale")
         out += base.data
 
-    def backward(g):
-        # constant weights (the keep row in x @ rowscale(enc_w1, keep.T))
-        # take no product
-        gv = (g * a.data).sum(axis=1, keepdims=True) if v.requires_grad else None
-        return (g * v.data, gv) if base is None else (g * v.data, gv, g)
+    # constant weights (the keep row in x @ rowscale(enc_w1, keep.T), the
+    # fusion weight) take no product, and then a's array is not kept
+    ad = a.data if v.requires_grad else None
+    vd = v.data if a.requires_grad else None
+    with_base = base is not None
 
-    return _result(out, (a, v) if base is None else (a, v, base), backward)
+    def backward(g):
+        ga = None if vd is None else g * vd
+        gv = None if ad is None else (g * ad).sum(axis=1, keepdims=True)
+        return (ga, gv, g) if with_base else (ga, gv)
+
+    return _result(out, (a, v, base) if with_base else (a, v), backward)
 
 
 def normalize_rows(a: Tensor) -> Tensor:
@@ -393,39 +446,39 @@ def backward(*roots):
         if isinstance(root, Tensor):
             if root.shape != (1, 1):
                 raise ContractError(f"backward: loss must be 1x1, got {root.shape}")
-            seeds.append((root, np.ones((1, 1), dtype=root.data.dtype)))
+            seeds.append((root.node, np.ones((1, 1), dtype=root.data.dtype)))
         else:
-            node, g = root
-            if g.shape != node.shape:
+            tensor, g = root
+            if g.shape != tensor.shape:
                 raise ShapeError(
-                    f"backward: seed shape {g.shape} != root shape {node.shape}")
-            seeds.append((node, g))
+                    f"backward: seed shape {g.shape} != root shape {tensor.shape}")
+            seeds.append((tensor.node, g))
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(node, False) for node, _ in seeds]
+    topo: list[Node] = []
+    seen: set[Node] = set()
+    stack = [(node, False) for node, _ in seeds if node is not None]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
+        for p in node.parents:
+            if p is not None and p not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {}
+    grads: dict[Node, np.ndarray] = {}
     for node, g in seeds:
         _accum(grads, node, g)
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if node._backward is not None:
-            for p, gp in zip(node._parents, node._backward(g)):
+        if node.backward is not None:
+            for p, gp in zip(node.parents, node.backward(g)):
                 _accum(grads, p, gp)
         else:
             node.grad = g if node.grad is None else node.grad + g

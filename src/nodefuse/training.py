@@ -90,11 +90,12 @@ class TrainReport:
         return "".join(r.to_json() + "\n" for r in self.records)
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> Tensor | None:
+def _dropout_mask(rng: np.random.Generator, shape, rate: float,
+                  dtype) -> tuple[np.ndarray, float] | None:
+    """A boolean keep mask and the kept entries' scale, or None at rate 0."""
     if rate == 0.0:
         return None
-    keep = (rng.random(shape) >= rate).astype(dtype) / dtype(1.0 - rate)
-    return Tensor(keep)
+    return rng.random(shape) >= rate, dtype(1) / dtype(1 - rate)
 
 
 def _step(params: dict, state: AdamState, lr: float):
@@ -139,6 +140,9 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
                                xw=T.matmul(x, T.rowscale(params.enc_w1, Tensor(keep.T)))),
                encode_contextual(params, x, adj, masks[2], xw=xw),
                encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
+    # no backward reads xw or the products and aggregations between it and
+    # the encodings, so dropping it frees them all
+    del xw
     # the heads start from leaves sharing the encodings' data, so each
     # term's backward stops at them and the encoder is walked once below
     h_s, h_s_aug, h_c, h_c_aug = leaves = [

@@ -44,6 +44,11 @@ class TestMaskFeatures:
         with pytest.raises(ContractError):
             mask_features(np.ones((2, 2)), 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 2)])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(ContractError, match="2-D"):
+            mask_features(np.ones(shape), 0.3, np.random.default_rng(0))
+
 
 class TestDropEdges:
     def test_p_zero_noop(self):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,26 @@ class TestAgreementMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             nmi([0, 1], [0, 1, 2])
+
+    @pytest.mark.parametrize("metric", [clustering_accuracy, nmi, ari])
+    @pytest.mark.parametrize("pred, truth", [
+        ([], []),                           # empty: a zero-size reduction
+        ([-1, 0, 1], [0, 1, 1]),            # -1 would index the last row
+        ([0.5, 1.5, 2.5], [0, 1, 2]),       # truncated, it would score 1.0
+        ([0, np.nan, 1], [0, 1, 1]),
+        ([0, np.inf, 1], [0, 1, 1]),
+        ([[0, 1]], [[0, 1]]),
+        ([True, False], [1, 0]),
+    ], ids=["empty", "negative", "fractional", "nan", "inf", "2-d", "bool"])
+    def test_malformed_labeling_rejected(self, metric, pred, truth):
+        for a, b in ((pred, truth), (truth, pred)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractError, match="labeling"):
+                    metric(a, b)
+
+    def test_integer_valued_floats_accepted(self):
+        assert clustering_accuracy([0.0, 1.0, 1.0], np.array([1, 0, 0], np.uint8)) == 1.0
 
 
 def test_evaluate_clustering_end_to_end():

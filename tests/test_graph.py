@@ -175,6 +175,19 @@ class TestBuildGraph:
             with pytest.raises(FormatError, match="feature row 1 overflows float64"):
                 build_graph(3, [(0, 1)], feats)
 
+    def test_first_non_finite_feature_beats_an_earlier_overflow(self):
+        # only rows whose squared norm is not finite are scanned for entries
+        feats = np.zeros((6, 3))
+        feats[1, 0] = 1e200
+        feats[3, 2] = np.nan
+        feats[4, 0] = -np.inf
+        feats[5, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=re.escape(
+                    "non-finite feature nan at row 3, column 2")):
+                build_graph(6, [(0, 1)], feats)
+
 
 class TestNormalizedAdjacency:
     def test_isolated_node_self_loop(self):
@@ -265,6 +278,12 @@ class TestSplits:
         g = random_graph(np.random.default_rng(7), n=10)
         with pytest.raises(ContractError, match="n_splits"):
             make_splits(g, (0.5, 0.25, 0.25), 2.5, seed=0)
+
+    @pytest.mark.parametrize("ratio", [(0.5, 0.5), (0.5, 0.25, 0.25, 0.0), 1.0])
+    def test_ratio_not_three_fractions_rejected(self, ratio):
+        g = random_graph(np.random.default_rng(7), n=10)
+        with pytest.raises(ContractError, match="split ratio"):
+            make_splits(g, ratio, 1, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):

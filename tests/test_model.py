@@ -208,7 +208,7 @@ def test_shared_first_layer_product_matches_separate_products(params):
     x = Tensor(g.features)
     adj = normalized_adjacency_sparse(g)
     adj_aug = normalized_adjacency_sparse(drop_edges(g, 0.3, rng))
-    masks = [Tensor(rng.uniform(0.0, 2.0, size=(6, 5))) for _ in range(3)]
+    masks = [(rng.random((6, 5)) >= 0.3, 1.0 / 0.7) for _ in range(3)]
     enc = {"enc_w1": params.enc_w1, "enc_w2": params.enc_w2}
 
     def run(shared: bool):
@@ -239,7 +239,7 @@ def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype):
     feats = g.features.astype(dtype)
     feats[:, 3] = 0.0                   # a feature no node has
     x = Tensor(feats)
-    drop = Tensor(((rng.random((12, 5)) >= 0.3) / 0.7).astype(dtype))
+    drop = (rng.random((12, 5)) >= 0.3, dtype(1) / dtype(1 - 0.3))
     seeds = [rng.normal(size=(12, 5)).astype(dtype) for _ in range(2)]
 
     def run(row_masked: bool):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -149,21 +150,29 @@ class TestFusedNodes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["dropout", "positive"])
     def test_relu_mask_bitwise_equals_relu_then_mul(self, dtype, kind):
+        # a boolean keep mask and its scale against relu then the float mask
+        # keep * scale, at signed zeros, infinities and NaNs; "positive"
+        # keeps every entry
         rng = np.random.default_rng(12)
         a = self._signed_zero_inputs(rng, (7, 6), dtype)
-        if kind == "dropout":       # zeros and the kept entries' 1 / (1 - rate)
-            m = (rng.random((7, 6)) >= 0.4).astype(dtype) / dtype(0.6)
-            m[0, :4] = [0.0, 0.0, 1.0 / 0.6, 1.0 / 0.6]
+        a[1, :6] = [np.inf, np.inf, np.nan, np.nan, -np.inf, -np.inf]
+        if kind == "dropout":
+            keep = rng.random((7, 6)) >= 0.4
+            keep[:2, :6] = [False, False, True, True, False, True]
         else:
-            m = rng.uniform(0.0, 2.0, size=(7, 6)).astype(dtype)
+            keep = np.ones((7, 6), dtype=bool)
+        scale = dtype(1) / dtype(1 - 0.4)
+        m = keep.astype(dtype) / dtype(1 - 0.4)
         g = rng.normal(size=(7, 6)).astype(dtype)
-        g[0, :4] = [-1.0, -1.0, -1.0, -1.0]
+        g[:2, :6] = -1.0
 
         x1, x2 = Tensor(a.copy(), requires_grad=True), Tensor(a.copy(), requires_grad=True)
-        fused = T.relu(x1, Tensor(m))
-        ref = T.mul(T.relu(x2), Tensor(m))
+        with np.errstate(invalid="ignore"):     # inf * 0 in the dropped entries
+            fused = T.relu(x1, keep, scale)
+            ref = T.mul(T.relu(x2), Tensor(m))
         backward((fused, g))
         backward((ref, g))
+        assert fused.data.dtype == ref.data.dtype
         assert fused.data.tobytes() == ref.data.tobytes()
         assert x1.grad.dtype == x2.grad.dtype
         assert x1.grad.tobytes() == x2.grad.tobytes()
@@ -203,11 +212,11 @@ class TestFusedNodes:
         a = rng.normal(size=(5, 4))
         a[np.abs(a) < 0.1] = 0.5        # central differences need no kink within h
         x = Tensor(a, requires_grad=True)
-        m = Tensor(rng.uniform(-2.0, 2.0, size=(5, 4)) * (rng.random((5, 4)) > 0.3))
+        keep = rng.random((5, 4)) > 0.3
         w = Tensor(rng.normal(size=(4, 3)))
 
         def loss_fn():
-            return T.sum_all(T.sigmoid(T.matmul(T.relu(x, m), w)))
+            return T.sum_all(T.sigmoid(T.matmul(T.relu(x, keep, 1.0 / 0.7), w)))
 
         backward(loss_fn())
         np.testing.assert_allclose(x.grad, _fd_grad(loss_fn, x), rtol=1e-6, atol=1e-9)
@@ -623,8 +632,7 @@ def _ring(n, dtype):
 
 
 def _mask(a):
-    keep = np.arange(a.data.size).reshape(a.shape) % 3 != 0
-    return Tensor(keep.astype(a.data.dtype))
+    return np.arange(a.data.size).reshape(a.shape) % 3 != 0
 
 
 # Every differentiable op: (parent shapes, build from the parent tensors).
@@ -637,7 +645,7 @@ PROTOCOL_OPS = {
     "scale": ([(6, 4)], lambda a: T.scale(a, -1.5)),
     "add_scalar": ([(6, 4)], lambda a: T.add_scalar(a, 2.0)),
     "relu": ([(6, 4)], T.relu),
-    "relu_mask": ([(6, 4)], lambda a: T.relu(a, mask=_mask(a))),
+    "relu_mask": ([(6, 4)], lambda a: T.relu(a, _mask(a), a.data.dtype.type(1.25))),
     "sigmoid": ([(6, 4)], T.sigmoid),
     "sqrt": ([(6, 4)], T.sqrt),
     "absolute": ([(6, 4)], T.absolute),
@@ -682,9 +690,9 @@ class TestOpProtocol:
             if not any(pattern):
                 continue
             parents, out, entries = _protocol_node(op, pattern, dtype)
-            assert [id(p) for p in out._parents] == [id(p) for p in parents]
+            assert out._parents == tuple(p.node for p in parents)
             assert len(entries) == len(out._parents)
-            for p, entry in zip(out._parents, entries):
+            for p, entry in zip(parents, entries):
                 if entry is None:
                     assert not p.requires_grad, (op, pattern)
                 else:
@@ -698,3 +706,40 @@ class TestOpProtocol:
         # the features in x @ enc_w1 and the keep row in rowscale(enc_w1, keep.T)
         _, _, entries = _protocol_node(op, pattern, np.float64)
         assert entries[skipped] is None
+
+
+class TestTapeOwnership:
+    """Tape nodes hold no arrays and each backward closure keeps only what it
+    reads, so an intermediate dies when the forward code drops its tensor."""
+
+    KEEP = np.arange(24).reshape(6, 4) % 5 != 0
+
+    @classmethod
+    def _loss(cls, x, w1, w2, refs):
+        xw = T.matmul(x, w1)                        # x @ W: no backward reads it
+        agg = T.spmm(_ring(6, x.data.dtype), xw)    # spmm keeps the adjacency only
+        h = T.relu(agg, cls.KEEP, 1.25)             # relu keeps its output and mask
+        refs.update(xw=weakref.ref(xw.data), agg=weakref.ref(agg.data),
+                    h=weakref.ref(h.data))
+        return T.sum_all(T.sigmoid(T.matmul(h, w2)))    # matmul reads h
+
+    def test_dropped_inputs_die_while_the_tape_lives(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.uniform(0.5, 1.5, size=(6, 5)))
+        w1, w2 = rand_tensor(rng, (5, 4), True), rand_tensor(rng, (4, 3), True)
+        refs = {}
+        loss = self._loss(x, w1, w2, refs)
+        assert {name: r() is not None for name, r in refs.items()} == {
+            "xw": False, "agg": False, "h": True}
+        backward(loss)
+        for w in (w1, w2):
+            fd = _fd_grad(lambda: self._loss(x, w1, w2, {}), w)
+            np.testing.assert_allclose(w.grad, fd, rtol=1e-6, atol=1e-9)
+
+    def test_parents_are_nodes(self):
+        rng = np.random.default_rng(32)
+        x, w = rand_tensor(rng, (3, 2)), rand_tensor(rng, (2, 2), True)
+        out = T.matmul(x, w)
+        assert out._parents == (None, w.node)
+        assert isinstance(w.node, T.Node) and x.node is None
+        assert not any(isinstance(p, (Tensor, np.ndarray)) for p in out._parents)

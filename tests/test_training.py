@@ -183,6 +183,42 @@ class TestSplitBackward:
         assert {name: len(outs) for name, outs in calls.items()} == {
             "project": 4, "ntxent_view": 2}
 
+    def test_contrast_forward_drops_what_no_backward_reads(self, graph, monkeypatch):
+        # the shared x @ enc_w1, the masked view's product, the contextual
+        # first-layer aggregations and h @ enc_w2 products are dead by the
+        # first term's backward; the encodings themselves are alive
+        refs = {"first_layer": [], "spmm": [], "enc_w2": []}
+        alive = []
+        matmul, spmm, real_backward = T.matmul, T.spmm, T.backward
+
+        def tracked_matmul(a, b):
+            out = matmul(a, b)
+            key = {graph.n_features: "first_layer", 6: "enc_w2"}.get(b.rows)
+            if key and b.shape[1] == 6:
+                refs[key].append(weakref.ref(out.data))
+            return out
+
+        def tracked_spmm(adj, x):
+            out = spmm(adj, x)
+            refs["spmm"].append(weakref.ref(out.data))
+            return out
+
+        def checked_backward(*roots):
+            if not alive:
+                alive.append({k: [r() is not None for r in v] for k, v in refs.items()})
+            return real_backward(*roots)
+
+        monkeypatch.setattr(T, "matmul", tracked_matmul)
+        monkeypatch.setattr(T, "spmm", tracked_spmm)
+        monkeypatch.setattr(T, "backward", checked_backward)
+        train(graph, small_cfg(epochs=1))
+        # matmuls: x @ enc_w1, the masked product; h @ enc_w2 per encoding
+        # (semantic, masked semantic, contextual, perturbed contextual);
+        # spmm: each contextual encoding's first and second aggregation
+        assert alive == [{"first_layer": [False, False],
+                          "enc_w2": [True, True, False, False],
+                          "spmm": [False, True, False, True]}]
+
     def test_epoch_tapes_freed_before_next_epoch(self, graph, monkeypatch):
         refs, alive = [], []
         mask = training.mask_features
