@@ -37,7 +37,12 @@ class ClusteringResult:
 
 
 def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+    """Embeddings (a Tensor or an array) as an array; they must be 2-D and finite."""
+    a = x.data if isinstance(x, Tensor) else np.asarray(x)
+    if not (a.ndim == 2 and a.dtype.kind in "biuf" and np.isfinite(a).all()):
+        raise ContractError("embeddings must be a finite 2-D array, "
+                            f"got shape {a.shape}, dtype {a.dtype}")
+    return a
 
 
 def _first_argmax(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -66,9 +71,11 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     check_range("epochs", epochs, 0, np.inf, integer=True)
     check_range("seed", seed, 0, np.inf, integer=True)
     emb = _as_array(embeddings)
+    y = _labeling(labels)
+    if len(y) != len(emb):
+        raise ContractError(f"{len(y)} labels for {len(emb)} embeddings")
     dtype = np.float32 if emb.dtype == np.float32 else np.float64
     x = emb.astype(np.float64)
-    y = np.asarray(labels, dtype=np.int64)
     std = x.std(axis=0)
     x = ((x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)).astype(dtype, copy=False)
     n_classes, n_splits = int(y.max()) + 1, len(splits)

@@ -21,6 +21,13 @@ import scipy.sparse as sp
 from .errors import ContractError, FormatError, LoadError, SplitError, check_range
 
 _META_KEYS = ("n_nodes", "n_features", "n_classes")
+# Features with a nonzero share below this are stored as CSR, denser ones
+# dense. It is the first layer's crossover, x @ w forward plus x.T @ g
+# backward, measured at c8's shape (N 5000, F 1000 -> 256, float32, 2
+# OpenBLAS threads, uniform random patterns): CSR took 6, 15, 19-26, 23-28
+# and 43-56 ms at 1, 2.7, 4, 5 and 7% nonzeros, the dense GEMMs 27-48 ms at
+# every density.
+_SPARSE_BELOW = 0.05
 
 
 @dataclass(frozen=True)
@@ -28,11 +35,13 @@ class Graph:
     """Immutable node/edge/feature/label container.
 
     Edges are stored once per undirected pair with i < j and no self-loops.
+    The features are stored once, in `x`: as a float64 CSR matrix when under
+    _SPARSE_BELOW of their entries are nonzero, else as a dense array.
     """
 
     n_nodes: int
     edges: np.ndarray            # (m, 2) int, i < j
-    features: np.ndarray         # (n_nodes, F) float
+    x: np.ndarray | sp.csr_matrix  # (n_nodes, F) float64 features
     labels: np.ndarray | None    # (n_nodes,) int, or None
     n_classes: int | None = None
     name: str = ""
@@ -43,8 +52,14 @@ class Graph:
         return len(self.edges)
 
     @property
+    def features(self) -> np.ndarray:
+        """The features as a dense array: `x` itself when it is dense, else a
+        fresh copy of n_nodes * F * 8 bytes."""
+        return self.x.toarray() if sp.issparse(self.x) else self.x
+
+    @property
     def n_features(self) -> int:
-        return self.features.shape[1]
+        return self.x.shape[1]
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -62,15 +77,16 @@ class Split:
 
 def build_graph(n_nodes: int, edge_list, features, labels=None,
                 n_classes=None, name: str = "") -> Graph:
-    """Dedup edges, drop self-loops; check edge ranges and that features and
-    their row squared norms are finite."""
+    """Dedup edges, drop self-loops; check edge ranges, that edges and labels
+    are integers, and that features have a column and finite row squared
+    norms."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != n_nodes:
-        raise FormatError(
-            f"features must be {n_nodes} rows, got shape {features.shape}"
-        )
-    _check_squared_norms(features, locate_non_finite=True)
-    raw = np.asarray(edge_list, dtype=np.int64)
+    if features.ndim != 2 or features.shape[0] != n_nodes or not features.shape[1]:
+        raise FormatError(f"features must be {n_nodes} rows of at least one "
+                          f"column, got shape {features.shape}")
+    x = _stored(features)
+    _check_squared_norms(x, locate_non_finite=True)
+    raw = _integers("edge endpoints", edge_list)
     if raw.size == 0:
         raw = raw.reshape(0, 2)
     if raw.ndim != 2 or raw.shape[1] != 2:
@@ -88,44 +104,75 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
     keys = keys[np.diff(keys, prepend=-1) != 0]     # keys are >= 0
     edges = np.stack([keys // n_nodes, keys % n_nodes], axis=1)
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _integers("labels", labels)
         if labels.shape != (n_nodes,):
             raise FormatError(f"labels must have length {n_nodes}, got {labels.shape}")
         if n_classes is None:
             n_classes = int(labels.max()) + 1 if n_nodes else 0
         if labels.min(initial=0) < 0 or (n_nodes and labels.max() >= n_classes):
             raise FormatError("labels outside [0, n_classes)")
-    return Graph(n_nodes=n_nodes, edges=edges, features=features, labels=labels,
+    return Graph(n_nodes=n_nodes, edges=edges, x=x, labels=labels,
                  n_classes=n_classes, name=name,
                  n_dropped_lines=len(raw) - len(edges))
 
 
-def _check_squared_norms(features: np.ndarray, locate_non_finite: bool = False):
-    """Raise a FormatError for the first row whose squared norm overflows the
-    features' dtype: the models and analyses all square the features.
+def _integers(what: str, values) -> np.ndarray:
+    """`values` as int64; a value that is not a finite integer is a FormatError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = ~(np.isfinite(a) & (a == np.trunc(a)))
+        if bad.any():
+            raise FormatError(f"{what} must be integers, got {a[bad][0]}")
+    return a.astype(np.int64)
+
+
+def _stored(features: np.ndarray):
+    """`features` in the form Graph stores them: CSR when under
+    _SPARSE_BELOW of the entries are nonzero, else the array itself."""
+    nonzero = features != 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    if counts.sum() >= _SPARSE_BELOW * features.size:
+        return features
+    # one boolean mask gives the CSR arrays, in row-major order; scipy's own
+    # conversion from dense took 49 ms on c8, this 18 ms
+    flat = np.flatnonzero(nonzero)
+    return sp.csr_matrix((np.take(features, flat), flat % features.shape[1],
+                          np.concatenate([[0], np.cumsum(counts)])),
+                         shape=features.shape)
+
+
+def _check_squared_norms(x, locate_non_finite: bool = False):
+    """Raise a FormatError for the first row of `x` (dense or CSR) whose
+    squared norm overflows its dtype: the models and analyses all square the
+    features.
 
     With `locate_non_finite`, the first non-finite entry, if there is one,
     is reported instead. A row holding one has a non-finite squared norm, so
     only those rows are scanned.
     """
     with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", features, features)))
+        norms = (np.asarray(x.multiply(x).sum(axis=1)).ravel() if sp.issparse(x)
+                 else np.einsum("ij,ij->i", x, x))
+    bad = np.flatnonzero(~np.isfinite(norms))
     if not len(bad):
         return
-    hits = np.argwhere(~np.isfinite(features[bad])) if locate_non_finite else ()
-    if len(hits):
-        row, col = bad[hits[0][0]], hits[0][1]
-        raise FormatError(f"non-finite feature {features[row, col]} "
-                          f"at row {row}, column {col}")
+    if locate_non_finite:
+        rows = x[bad].toarray() if sp.issparse(x) else x[bad]
+        hits = np.argwhere(~np.isfinite(rows))
+        if len(hits):
+            r, col = hits[0]
+            raise FormatError(f"non-finite feature {rows[r, col]} "
+                              f"at row {bad[r]}, column {col}")
     raise FormatError(f"the squared norm of feature row {bad[0]} "
-                      f"overflows {features.dtype}")
+                      f"overflows {x.dtype}")
 
 
-def features_as(g: Graph, dtype) -> np.ndarray:
-    """`g.features` cast to `dtype`; a row whose squared norm overflows it is a
+def features_as(g: Graph, dtype):
+    """`g.x` cast to `dtype` in its stored form, so a CSR graph gives a CSR
+    matrix and no dense copy; a row whose squared norm overflows `dtype` is a
     FormatError."""
     with np.errstate(over="ignore"):
-        x = g.features.astype(dtype)
+        x = g.x.astype(dtype, copy=False)
     _check_squared_norms(x)
     return x
 
@@ -183,6 +230,9 @@ def load_graph(dataset_dir) -> Graph:
                        name=str(meta.get("name", d.name)))
 
 
+_WRITE_ROWS = 256   # feature rows made dense at a time by write_graph
+
+
 def write_graph(g: Graph, dataset_dir):
     d = Path(dataset_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -193,8 +243,10 @@ def write_graph(g: Graph, dataset_dir):
         for i, j in g.edges:
             fh.write(f"{i}\t{j}\n")
     with (d / "features.csv").open("w") as fh:
-        for row in g.features:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for lo in range(0, g.n_nodes, _WRITE_ROWS):   # no dense copy of a CSR x
+            block = g.x[lo:lo + _WRITE_ROWS]
+            for row in block.toarray() if sp.issparse(block) else block:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
     if g.labels is not None:
         with (d / "labels.txt").open("w") as fh:
             for y in g.labels:
@@ -268,12 +320,13 @@ def neighborhood_similarity(g: Graph):
     Returns (similarity, isolated) where isolated nodes get similarity 0.
     """
     isolated = g.degree == 0
-    means = adjacency_sparse(g) @ g.features / np.maximum(g.degree, 1)[:, None]
-    nx = np.linalg.norm(g.features, axis=1)
+    x = g.features
+    means = adjacency_sparse(g) @ x / np.maximum(g.degree, 1)[:, None]
+    nx = np.linalg.norm(x, axis=1)
     nm = np.linalg.norm(means, axis=1)
     # Isolated nodes have a zero mean, so the zero-norm rule covers them.
     ok = (nx >= 1e-12) & (nm >= 1e-12)
     sims = np.zeros(g.n_nodes, dtype=np.float64)
-    sims[ok] = (np.einsum("ij,ij->i", g.features[ok], means[ok])
+    sims[ok] = (np.einsum("ij,ij->i", x[ok], means[ok])
                 / (nx[ok] * nm[ok]))
     return sims, isolated

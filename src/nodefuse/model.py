@@ -120,20 +120,24 @@ def _aggregate(adj, x: Tensor) -> Tensor:
     raise ContractError(f"unsupported adjacency type {type(adj).__name__}")
 
 
-def first_layer_product(params: ModelParams, x: Tensor) -> Tensor:
-    """x @ enc_w1, the product both views start from.
+def first_layer_product(params: ModelParams, x, keep: np.ndarray | None = None) -> Tensor:
+    """x @ enc_w1, the product both views start from; with a 1 x F `keep` row
+    of 0s and 1s, the feature-masked view's (x * keep) @ enc_w1, taken as
+    x @ (keep.T * enc_w1) so that no masked copy of x is made.
 
-    Dropout acts only after the first aggregation, so every encoding of the
-    same x can share one product: pass it to the encoders as `xw`.
+    `x` is a CSR matrix, multiplied by `T.spmm`, or a dense Tensor. Dropout
+    acts only after the first aggregation, so every encoding of the same x
+    can share one product: pass it to the encoders as `xw`.
     """
-    if x.cols != params.dims.f_in:
+    if x.shape[1] != params.dims.f_in:
         raise ContractError(
-            f"encoder expects {params.dims.f_in} input features, got {x.cols}"
+            f"encoder expects {params.dims.f_in} input features, got {x.shape[1]}"
         )
-    return T.matmul(x, params.enc_w1)
+    w1 = params.enc_w1 if keep is None else T.rowscale(params.enc_w1, Tensor(keep.T))
+    return T.spmm(x, w1) if sp.issparse(x) else T.matmul(x, w1)
 
 
-def _encode(params: ModelParams, x: Tensor, adj, dropout: tuple | None,
+def _encode(params: ModelParams, x, adj, dropout: tuple | None,
             xw: Tensor | None) -> Tensor:
     if xw is None:
         xw = first_layer_product(params, x)
@@ -141,19 +145,19 @@ def _encode(params: ModelParams, x: Tensor, adj, dropout: tuple | None,
     return _aggregate(adj, T.matmul(h, params.enc_w2))
 
 
-def encode_semantic(params: ModelParams, x: Tensor,
+def encode_semantic(params: ModelParams, x,
                     dropout: tuple[np.ndarray, float] | None = None, *,
                     xw: Tensor | None = None) -> Tensor:
     """Per-node encoding with an identity adjacency: no cross-node mixing.
 
-    `dropout` is a (boolean keep mask, scale) pair for the hidden layer, as
-    `T.relu` takes them. `xw` is `first_layer_product(params, x)` when the
-    caller already has it.
+    `x` is as `first_layer_product` takes it. `dropout` is a (boolean keep
+    mask, scale) pair for the hidden layer, as `T.relu` takes them. `xw` is
+    `first_layer_product(params, x)` when the caller already has it.
     """
     return _encode(params, x, None, dropout, xw)
 
 
-def encode_contextual(params: ModelParams, x: Tensor, adj_hat,
+def encode_contextual(params: ModelParams, x, adj_hat,
                       dropout: tuple[np.ndarray, float] | None = None, *,
                       xw: Tensor | None = None) -> Tensor:
     """Two aggregation rounds over the normalized adjacency, shared weights.

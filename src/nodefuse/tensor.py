@@ -157,8 +157,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
-    """Sparse-constant @ dense product; the sparse matrix takes no gradient."""
-    adj = adj.tocsr()
+    """Sparse-constant @ dense product; the sparse matrix takes no gradient.
+
+    The backward multiplies by adj.T, a CSC view of a CSR adj and a CSR
+    view of a CSC one; no copy of adj is made.
+    """
     if adj.shape[1] != x.rows:
         raise ShapeError(f"spmm: inner dims of {adj.shape} and {x.shape} differ")
     return _result(adj @ x.data, (x,), lambda g: (adj.T @ g,))

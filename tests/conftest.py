@@ -10,10 +10,14 @@ from nodefuse import build_graph
 DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
 
 
-def random_graph(rng, n=20, f=12, p_edge=0.2, n_classes=3, labeled=True):
+def random_graph(rng, n=20, f=12, p_edge=0.2, n_classes=3, labeled=True,
+                 word_rate=None):
+    """Normal features, stored dense; with `word_rate`, binary bag-of-words
+    features with that share of ones, stored as CSR below 5%."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p_edge]
-    feats = rng.normal(size=(n, f))
+    feats = (rng.normal(size=(n, f)) if word_rate is None
+             else (rng.random((n, f)) < word_rate).astype(np.float64))
     labels = rng.integers(0, n_classes, size=n) if labeled else None
     return build_graph(n, edges, feats, labels, n_classes=n_classes)
 

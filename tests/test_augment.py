@@ -92,10 +92,10 @@ class TestDropEdges:
 
     def test_shares_features_and_labels(self):
         rng = np.random.default_rng(12)
-        g = random_graph(rng, n=10)
-        out = drop_edges(g, 0.2, np.random.default_rng(13))
-        assert out.features is g.features
-        assert out.labels is g.labels
+        for g in (random_graph(rng, n=10), random_graph(rng, n=10, f=40, word_rate=0.03)):
+            out = drop_edges(g, 0.2, np.random.default_rng(13))
+            assert out.x is g.x     # the stored features, dense or CSR
+            assert out.labels is g.labels
 
     def test_pure_given_seed(self):
         rng = np.random.default_rng(14)

@@ -78,6 +78,28 @@ class TestLinearProbe:
             linear_probe(x, y, [even_split(len(y), 0)], **kwargs)
         linear_probe(x, y, [even_split(len(y), 0)], **{**kwargs, arg: np.int64(0)})
 
+    @pytest.mark.parametrize("case", [
+        "short_labels", "negative_label", "float_label", "1-d", "nan", "inf"])
+    def test_malformed_input_rejected(self, case):
+        # unchecked: IndexError, ValueError, a truncated label, IndexError,
+        # and accuracies from NaN logits
+        x, y = blobs(np.random.default_rng(4), k=2, per=10)
+        x, y = x.copy(), y.astype(np.float64)
+        if case == "short_labels":
+            y = y[:-1]
+        elif case == "negative_label":
+            y[3] = -1
+        elif case == "float_label":
+            y[3] = 0.5
+        elif case == "1-d":
+            x = x[:, 0]
+        else:
+            x[2, 1] = np.nan if case == "nan" else np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="labels|labeling|embeddings"):
+                linear_probe(x, y, [even_split(20, 0)], epochs=2)
+
 
 def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
     """One logistic regression per split, trained one after another.
@@ -351,6 +373,24 @@ class TestKmeans:
         x = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(ContractError, match="seed"):
             kmeans(x, 2, seed=seed)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1-d"])
+    @pytest.mark.parametrize("fn", ["kmeans", "evaluate_clustering"])
+    def test_non_finite_or_1d_embeddings_rejected(self, fn, bad):
+        # unchecked: "Probabilities contain NaN" after a RuntimeWarning
+        x, y = blobs(np.random.default_rng(5), k=2, per=10)
+        if bad == "1-d":
+            x = x[:, 0]
+        else:
+            x[4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="embeddings"):
+                if fn == "kmeans":
+                    kmeans(x, 2, seed=0)
+                else:
+                    evaluate_clustering(x, y, seed=0)
 
 
 class TestClusteringAccuracy:

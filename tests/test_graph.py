@@ -1,15 +1,18 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodefuse import (Tensor, build_graph, load_graph, make_splits,
                       neighborhood_similarity, write_graph)
 from nodefuse.errors import ContractError, FormatError, LoadError
-from nodefuse.graph import _largest_remainder_sizes, normalized_adjacency_sparse
+from nodefuse.graph import (_SPARSE_BELOW, _largest_remainder_sizes, features_as,
+                            normalized_adjacency_sparse)
 
 from conftest import MALFORMED, random_graph, write_dataset
 
@@ -187,6 +190,101 @@ class TestBuildGraph:
             with pytest.raises(FormatError, match=re.escape(
                     "non-finite feature nan at row 3, column 2")):
                 build_graph(6, [(0, 1)], feats)
+
+
+    @pytest.mark.parametrize("edges", [[[0.5, 1.7]], [[0, 1], [1, np.nan]],
+                                       [[0, np.inf]]], ids=["fractional", "nan", "inf"])
+    def test_non_integral_edge_endpoints_rejected(self, edges):
+        # cast to int64, [[0.5, 1.7]] was the edge (0, 1)
+        with pytest.raises(FormatError, match="edge endpoints must be integers"):
+            build_graph(3, edges, np.zeros((3, 1)))
+
+    def test_non_integral_labels_rejected(self):
+        # cast to int64, 0.5 was class 0
+        with pytest.raises(FormatError, match="labels must be integers, got 0.5"):
+            build_graph(3, [(0, 1)], np.zeros((3, 1)), labels=[0, 0.5, 1])
+
+    def test_integer_valued_floats_accepted(self):
+        g = build_graph(3, np.array([[2.0, 0.0]]), np.zeros((3, 1)), labels=[0.0, 1.0, 1.0])
+        assert g.edges.tolist() == [[0, 2]] and g.labels.tolist() == [0, 1, 1]
+
+    def test_zero_feature_columns_rejected(self):
+        # train would fit an f_in = 0 model whose checkpoint eval refuses
+        with pytest.raises(FormatError, match="at least one column"):
+            build_graph(3, [(0, 1)], np.zeros((3, 0)))
+
+
+class TestFeatureStorage:
+    def test_normal_features_stay_dense(self):
+        g = random_graph(np.random.default_rng(0), n=12, f=5)
+        assert type(g.x) is np.ndarray and g.x.dtype == np.float64
+        assert g.features is g.x
+
+    def test_bag_of_words_stored_as_csr(self):
+        rng = np.random.default_rng(1)
+        feats = (rng.random((30, 200)) < 0.02).astype(np.float64)
+        g = build_graph(30, [(0, 1)], feats)
+        assert sp.issparse(g.x) and g.x.format == "csr" and g.x.dtype == np.float64
+        assert g.x.nnz == np.count_nonzero(feats) and g.x.has_sorted_indices
+        assert g.n_features == 200
+        dense = g.features
+        assert type(dense) is np.ndarray and np.array_equal(dense, feats)
+        assert g.features is not dense      # a fresh copy per read
+
+    def test_density_threshold(self):
+        n, f = 10, 100
+        at = np.zeros((n, f))
+        at.flat[:int(_SPARSE_BELOW * n * f)] = 1.0
+        below = at.copy()
+        below.flat[0] = 0.0
+        assert type(build_graph(n, [], at).x) is np.ndarray
+        assert sp.issparse(build_graph(n, [], below).x)
+
+    def test_load_graph_keeps_no_dense_bag_of_words(self, tmp_path):
+        # a dense copy of the features alone would be n * f * 8 bytes
+        n, f = 400, 1000
+        rng = np.random.default_rng(2)
+        d = write_dataset(tmp_path / "bow", n, [(0, 1), (1, 2)],
+                          (rng.random((n, f)) < 0.02).astype(np.float64))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = load_graph(d)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.n_features == f
+        assert held < n * f * 8 / 4
+
+    @pytest.mark.parametrize("word_rate", [None, 0.03], ids=["dense", "csr"])
+    def test_write_load_round_trip_is_byte_identical(self, tmp_path, word_rate):
+        g = random_graph(np.random.default_rng(3), n=40, f=30, word_rate=word_rate)
+        write_graph(g, tmp_path / "a")
+        g2 = load_graph(tmp_path / "a")
+        write_graph(g2, tmp_path / "b")
+        for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert type(g2.x) is type(g.x) and np.array_equal(g2.features, g.features)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite feature nan at row 7, column 3"),
+        (-np.inf, "non-finite feature -inf at row 7, column 3"),
+        (1e200, "the squared norm of feature row 7 overflows float64")])
+    def test_csr_features_checked(self, value, message):
+        feats = np.zeros((10, 100))
+        feats[::3, ::7] = 1.0
+        feats[7, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=re.escape(message)):
+                build_graph(10, [(0, 1)], feats)
+
+    def test_features_as_casts_csr_without_a_dense_copy(self):
+        g = random_graph(np.random.default_rng(4), n=40, f=30, word_rate=0.03)
+        x = features_as(g, np.float32)
+        assert sp.issparse(x) and x.format == "csr" and x.dtype == np.float32
+        assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+        assert features_as(g, np.float64) is g.x
 
 
 class TestNormalizedAdjacency:

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nodefuse import (ModelDims, Tensor, backward, build_graph,
                       controller_lambda, drop_edges, encode_contextual,
@@ -11,7 +12,7 @@ from nodefuse import (ModelDims, Tensor, backward, build_graph,
                       mask_features, project, save_checkpoint)
 from nodefuse import tensor as T
 from nodefuse.errors import CheckpointError, ContractError
-from nodefuse.graph import normalized_adjacency_sparse
+from nodefuse.graph import features_as, normalized_adjacency_sparse
 from nodefuse.model import degree_feature, first_layer_product, param_shapes
 
 from conftest import random_graph, with_checkpoint_arrays, with_checkpoint_value
@@ -256,6 +257,85 @@ def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype):
 
     for new, old in zip(run(True), run(False)):
         assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
+class TestSparseFeatures:
+    """A CSR graph's first layer is T.spmm(x, enc_w1); a dense one's T.matmul."""
+
+    @staticmethod
+    def _encodings(params, x, adj, keep, drop, seeds):
+        for t in (params.enc_w1, params.enc_w2):
+            t.grad = None
+        hs = [encode_semantic(params, x, drop),
+              encode_semantic(params, x, drop, xw=first_layer_product(params, x, keep)),
+              encode_contextual(params, x, adj, drop)]
+        backward(*zip(hs, seeds))
+        return [h.data for h in hs] + [params.enc_w1.grad, params.enc_w2.grad]
+
+    def test_csr_and_dense_features_agree(self, params):
+        rng = np.random.default_rng(30)
+        g = random_graph(rng, n=40, f=8, word_rate=0.04)
+        assert sp.issparse(g.x)
+        adj = normalized_adjacency_sparse(g)
+        keep = mask_features(np.ones((1, 8)), 0.5, rng)
+        drop = (rng.random((40, 5)) >= 0.3, 1.0 / 0.7)
+        seeds = [rng.normal(size=(40, 5)) for _ in range(3)]
+        sparse = self._encodings(params, features_as(g, np.float64), adj, keep, drop, seeds)
+        dense = self._encodings(params, Tensor(g.features), adj, keep, drop, seeds)
+        for a, b in zip(sparse, dense):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_sparse_product_matches_finite_differences(self):
+        rng = np.random.default_rng(31)
+        x = sp.random(7, 9, density=0.2, format="csr", random_state=32)
+        w = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        c = rng.normal(size=(7, 4))
+
+        def loss_fn():
+            out = T.spmm(x, w)
+            return T.sum_all(T.mul(T.sigmoid(out), Tensor(c)))
+
+        backward(loss_fn())
+        analytic, fd = w.grad.copy(), np.zeros_like(w.data)
+        for idx in np.ndindex(w.shape):
+            orig = w.data[idx]
+            w.data[idx] = orig + 1e-6
+            lp = loss_fn().item()
+            w.data[idx] = orig - 1e-6
+            lm = loss_fn().item()
+            w.data[idx] = orig
+            fd[idx] = (lp - lm) / 2e-6
+        assert np.abs(analytic - fd).max() <= 1e-4 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_csc_and_csr_operands_give_the_same_bits(self, dtype):
+        # training gives wide features to spmm in CSC form: its scatter and
+        # the CSR gather sum each entry over the same terms in the same order
+        rng = np.random.default_rng(34)
+        for shape in ((6, 300), (300, 6)):
+            x = sp.random(*shape, density=0.2, format="csr", random_state=35, dtype=dtype)
+            g = rng.normal(size=(shape[0], 64)).astype(dtype)
+            w0 = rng.normal(size=(shape[1], 64)).astype(dtype)
+            runs = []
+            for form in (x, x.tocsc()):
+                w = Tensor(w0.copy(), requires_grad=True)
+                out = T.spmm(form, w)
+                backward((out, g))
+                runs.append((out.data.tobytes(), w.grad.tobytes()))
+            assert runs[0] == runs[1]
+
+    def test_first_layer_dispatches_on_the_feature_form(self, params, monkeypatch):
+        g = random_graph(np.random.default_rng(33), n=40, f=8, word_rate=0.04)
+        calls = []
+        for name in ("spmm", "matmul"):
+            real = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda a, b, real=real, name=name: (
+                calls.append(name), real(a, b))[1])
+        first_layer_product(params, features_as(g, np.float64))
+        first_layer_product(params, Tensor(g.features))
+        assert calls == ["spmm", "matmul"]
+        with pytest.raises(ContractError, match="expects 8 input features"):
+            first_layer_product(params, sp.csr_matrix((40, 7)))
 
 
 def test_checkpoint_round_trip(tmp_path, params):

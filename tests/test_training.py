@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
                       TrainConfig, Tensor, backward, embed, encode_semantic,
@@ -30,6 +31,14 @@ def small_cfg(**over):
 @pytest.fixture(scope="module")
 def graph():
     return random_graph(np.random.default_rng(0), n=20, f=10)
+
+
+@pytest.fixture(scope="module")
+def bow_graph():
+    """Bag-of-words features, stored as CSR: the first layer runs on T.spmm."""
+    g = random_graph(np.random.default_rng(0), n=20, f=60, word_rate=0.03)
+    assert sp.issparse(g.x)
+    return g
 
 
 class TestPhaseIsolation:
@@ -132,22 +141,28 @@ class TestSplitBackward:
         train(graph, cfg)
         assert checked == [True]
 
-    def test_encoder_backward_runs_once_per_epoch(self, graph, monkeypatch):
-        counts = {"spmm": 0, "first_layer_matmul": 0}
+    def test_encoder_backward_runs_once_per_epoch(self, graph, bow_graph, monkeypatch):
+        # the first layer is a matmul on dense features and an spmm on CSR ones
+        for g, first_op in ((graph, "matmul"), (bow_graph, "spmm")):
+            counts = {"spmm": 0, f"first_layer_{first_op}": 0}
 
-        def bump(key):
-            counts[key] += 1
+            def bump(key):
+                counts[key] += 1
 
-        spmm, matmul = T.spmm, T.matmul
-        monkeypatch.setattr(T, "spmm", lambda adj, x: _wrap_backward(
-            spmm(adj, x), lambda: bump("spmm")))
-        monkeypatch.setattr(T, "matmul", lambda a, b: _wrap_backward(
-            matmul(a, b), lambda: bump("first_layer_matmul"))
-            if b.rows == graph.n_features else matmul(a, b))
-        train(graph, small_cfg(epochs=1))
-        # two contextual encodings of two aggregations each; one product
-        # x @ enc_w1 shared by three encodings and one of the masked features
-        assert counts == {"spmm": 4, "first_layer_matmul": 2}
+            def first(a, b):
+                return a.shape[1] == g.n_features
+
+            spmm, matmul = T.spmm, T.matmul
+            monkeypatch.setattr(T, "spmm", lambda adj, x: _wrap_backward(
+                spmm(adj, x), lambda: bump("first_layer_spmm" if first(adj, x) else "spmm")))
+            monkeypatch.setattr(T, "matmul", lambda a, b: _wrap_backward(
+                matmul(a, b), lambda: bump("first_layer_matmul"))
+                if first(a, b) else matmul(a, b))
+            train(g, small_cfg(epochs=1))
+            monkeypatch.undo()
+            # two contextual encodings of two aggregations each; one product
+            # x @ enc_w1 shared by three encodings and one of the masked features
+            assert counts == {"spmm": 4, f"first_layer_{first_op}": 2}
 
     def test_each_term_freed_before_next_view(self, graph, monkeypatch):
         # Tensor has __slots__ without __weakref__, so the test watches the
@@ -183,41 +198,48 @@ class TestSplitBackward:
         assert {name: len(outs) for name, outs in calls.items()} == {
             "project": 4, "ntxent_view": 2}
 
-    def test_contrast_forward_drops_what_no_backward_reads(self, graph, monkeypatch):
+    def test_contrast_forward_drops_what_no_backward_reads(self, graph, bow_graph,
+                                                          monkeypatch):
         # the shared x @ enc_w1, the masked view's product, the contextual
         # first-layer aggregations and h @ enc_w2 products are dead by the
-        # first term's backward; the encodings themselves are alive
-        refs = {"first_layer": [], "spmm": [], "enc_w2": []}
-        alive = []
-        matmul, spmm, real_backward = T.matmul, T.spmm, T.backward
+        # first term's backward; the encodings themselves are alive. The
+        # first layer is a matmul on dense features and an spmm on CSR ones.
+        for g in (graph, bow_graph):
+            refs = {"first_layer": [], "spmm": [], "enc_w2": []}
+            alive = []
+            matmul, spmm, real_backward = T.matmul, T.spmm, T.backward
 
-        def tracked_matmul(a, b):
-            out = matmul(a, b)
-            key = {graph.n_features: "first_layer", 6: "enc_w2"}.get(b.rows)
-            if key and b.shape[1] == 6:
-                refs[key].append(weakref.ref(out.data))
-            return out
+            def tracked_matmul(a, b):
+                out = matmul(a, b)
+                key = {g.n_features: "first_layer", 6: "enc_w2"}.get(b.rows)
+                if key and b.shape[1] == 6:
+                    refs[key].append(weakref.ref(out.data))
+                return out
 
-        def tracked_spmm(adj, x):
-            out = spmm(adj, x)
-            refs["spmm"].append(weakref.ref(out.data))
-            return out
+            def tracked_spmm(adj, x):
+                out = spmm(adj, x)
+                key = "first_layer" if adj.shape[1] == g.n_features else "spmm"
+                if x.shape[1] == 6:
+                    refs[key].append(weakref.ref(out.data))
+                return out
 
-        def checked_backward(*roots):
-            if not alive:
-                alive.append({k: [r() is not None for r in v] for k, v in refs.items()})
-            return real_backward(*roots)
+            def checked_backward(*roots):
+                if not alive:
+                    alive.append({k: [r() is not None for r in v] for k, v in refs.items()})
+                return real_backward(*roots)
 
-        monkeypatch.setattr(T, "matmul", tracked_matmul)
-        monkeypatch.setattr(T, "spmm", tracked_spmm)
-        monkeypatch.setattr(T, "backward", checked_backward)
-        train(graph, small_cfg(epochs=1))
-        # matmuls: x @ enc_w1, the masked product; h @ enc_w2 per encoding
-        # (semantic, masked semantic, contextual, perturbed contextual);
-        # spmm: each contextual encoding's first and second aggregation
-        assert alive == [{"first_layer": [False, False],
-                          "enc_w2": [True, True, False, False],
-                          "spmm": [False, True, False, True]}]
+            monkeypatch.setattr(T, "matmul", tracked_matmul)
+            monkeypatch.setattr(T, "spmm", tracked_spmm)
+            monkeypatch.setattr(T, "backward", checked_backward)
+            train(g, small_cfg(epochs=1))
+            monkeypatch.undo()
+            # first layer: x @ enc_w1, the masked product; h @ enc_w2 per
+            # encoding (semantic, masked semantic, contextual, perturbed
+            # contextual); spmm: each contextual encoding's first and second
+            # aggregation
+            assert alive == [{"first_layer": [False, False],
+                              "enc_w2": [True, True, False, False],
+                              "spmm": [False, True, False, True]}]
 
     def test_epoch_tapes_freed_before_next_epoch(self, graph, monkeypatch):
         refs, alive = [], []
@@ -261,22 +283,48 @@ class TestSplitBackward:
 
 def test_contrast_step_keeps_no_copy_of_the_features():
     # N x F dominates every other array here, so a masked feature copy on
-    # the tape would take the step's peak above half of x's bytes
-    rng = np.random.default_rng(22)
-    g = random_graph(rng, n=400, f=3000, p_edge=0.01)
-    cfg = small_cfg(dims=(8, 4, 3))
-    params = training.init_params(rng, training.ModelDims(g.n_features, *cfg.dims))
-    x = Tensor(g.features)
-    adj = training.normalized_adjacency_sparse(g)
-    aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
-    tracemalloc.start()
-    try:
-        training._contrast_step(g, cfg, params, T.AdamState(), x, adj,
-                                aug_rng, drop_rng, epoch=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.data.nbytes / 2
+    # the tape, or a dense copy of CSR features, would take the step's peak
+    # above half of N x F x 8 bytes
+    for word_rate in (None, 0.02):
+        rng = np.random.default_rng(22)
+        g = random_graph(rng, n=400, f=3000, p_edge=0.01, word_rate=word_rate)
+        assert sp.issparse(g.x) == (word_rate is not None)
+        cfg = small_cfg(dims=(8, 4, 3))
+        params = training.init_params(rng, training.ModelDims(g.n_features, *cfg.dims))
+        x, adj = training._inputs(g, np.float64)
+        aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
+        tracemalloc.start()
+        try:
+            training._contrast_step(g, cfg, params, T.AdamState(), x, adj,
+                                    aug_rng, drop_rng, epoch=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n_nodes * g.n_features * 8 / 2
+
+
+def test_inputs_give_wide_sparse_features_in_csc_form():
+    # the backward's x.T is then a CSR view; a taller matrix stays CSR
+    rng = np.random.default_rng(24)
+    for n, f, form in ((20, 60, "csc"), (60, 20, "csr")):
+        g = random_graph(rng, n=n, f=f, word_rate=0.03)
+        x, _ = training._inputs(g, np.float32)
+        assert x.format == form and x.dtype == np.float32
+        assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+
+
+def test_clean_views_build_no_tape():
+    # the controller step and embed encode with constant weights: the
+    # encodings are the ones the parameters give, but no tape holds them
+    rng = np.random.default_rng(23)
+    for g in (random_graph(rng, n=20, f=10), random_graph(rng, n=20, f=60, word_rate=0.03)):
+        params = training.init_params(rng, training.ModelDims(g.n_features, 6, 4, 3))
+        x, adj = training._inputs(g, np.float64)
+        h_s, h_c = training._clean_views(params, x, adj)
+        assert h_s.node is None and h_c.node is None
+        assert h_s.data.tobytes() == encode_semantic(params, x).data.tobytes()
+        assert h_c.data.tobytes() == training.encode_contextual(params, x, adj).data.tobytes()
+        assert params.enc_w1.requires_grad and params.enc_w2.requires_grad
 
 
 class TestDeterminism:
@@ -433,16 +481,18 @@ class TestConfigValidation:
             embed(graph, report.params, fixed_lambda=value)
 
     @pytest.mark.parametrize("value", [1e20, 1e100])
-    def test_features_overflowing_float32_rejected(self, graph, value):
-        features = graph.features.copy()
-        features[3, 1] = value      # its square overflows float32
-        bad = dataclasses.replace(graph, features=features)
-        with pytest.raises(FormatError, match="feature row 3 overflows float32"):
-            train(bad, small_cfg(epochs=1, precision="float32"))
-        report = train(graph, small_cfg(epochs=1, precision="float32"))
-        with pytest.raises(FormatError, match="feature row 3 overflows float32"):
-            embed(bad, report.params)
-        embed(bad, train(graph, small_cfg(epochs=1)).params)     # fine in float64
+    def test_features_overflowing_float32_rejected(self, graph, bow_graph, value):
+        # in either stored form: dense, and CSR
+        for g, form in ((graph, np.asarray), (bow_graph, sp.csr_matrix)):
+            features = g.features.copy()
+            features[3, 1] = value      # its square overflows float32
+            bad = dataclasses.replace(g, x=form(features))
+            with pytest.raises(FormatError, match="feature row 3 overflows float32"):
+                train(bad, small_cfg(epochs=1, precision="float32"))
+            report = train(g, small_cfg(epochs=1, precision="float32"))
+            with pytest.raises(FormatError, match="feature row 3 overflows float32"):
+                embed(bad, report.params)
+            embed(bad, train(g, small_cfg(epochs=1)).params)     # fine in float64
 
     def test_float32_mode_runs(self, graph):
         report = train(graph, small_cfg(epochs=2, precision="float32"))
