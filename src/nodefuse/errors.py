@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and its one range check."""
+"""Exception types shared across the package, its one range check and its
+one test for integer values."""
 
 import numbers
+
+import numpy as np
 
 
 class NodefuseError(Exception):
@@ -63,3 +66,11 @@ def check_range(name: str, value, lo, hi, *, integer: bool = False,
                           f"in {interval}, got {value!r}")
     error.field = name
     raise error
+
+
+def non_integers(a: np.ndarray) -> np.ndarray:
+    """The mask of the entries of `a` that are not finite integer values;
+    only a float array can hold any. Each caller raises its own error."""
+    if a.dtype.kind != "f":
+        return np.zeros(a.shape, dtype=bool)
+    return ~(np.isfinite(a) & (a == np.trunc(a)))

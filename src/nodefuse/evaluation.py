@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ContractError, check_range
+from .errors import ContractError, check_range, non_integers
 from .graph import Split
 from .tensor import AdamState, Tensor, adam_step
 
@@ -223,8 +223,8 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
 def _labeling(y) -> np.ndarray:
     """`y` as int64 labels: a non-empty 1-D array of integer values >= 0."""
     y = np.asarray(y)
-    if not (y.ndim == 1 and y.size and y.dtype.kind in "iuf" and np.isfinite(y).all()
-            and (y == np.trunc(y)).all() and (y >= 0).all()):
+    if not (y.ndim == 1 and y.size and y.dtype.kind in "iuf"
+            and not non_integers(y).any() and (y >= 0).all()):
         raise ContractError("a labeling must be a non-empty 1-D array of integers "
                             f">= 0, got shape {y.shape}, dtype {y.dtype}")
     return y.astype(np.int64)

@@ -18,15 +18,19 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, FormatError, LoadError, SplitError, check_range
+from .errors import (ContractError, FormatError, LoadError, SplitError, check_range,
+                     non_integers)
 
 _META_KEYS = ("n_nodes", "n_features", "n_classes")
 # Features with a nonzero share below this are stored as CSR, denser ones
-# dense. It is the first layer's crossover, x @ w forward plus x.T @ g
-# backward, measured at c8's shape (N 5000, F 1000 -> 256, float32, 2
-# OpenBLAS threads, uniform random patterns): CSR took 6, 15, 19-26, 23-28
-# and 43-56 ms at 1, 2.7, 4, 5 and 7% nonzeros, the dense GEMMs 27-48 ms at
-# every density.
+# dense. It comes from one microbenchmark of the first layer alone, x @ w
+# forward plus x.T @ g backward, at c8's shape (N 5000, F 1000 -> 256,
+# float32, 2 OpenBLAS threads, uniform random patterns, 72 timings per
+# cell): CSR took 6.0, 13.3, 19.2, 23.3, 30.2 and 36.1 ms in the median at
+# 1, 2.7, 4, 5, 6 and 7% nonzeros, the dense GEMMs 29.7-35.0 ms at every
+# density. The medians tie at 6%; 5% is the densest share tested at which
+# CSR's upper quartile (26.5 ms) is at or under the dense lower quartile
+# (26.5 ms). No end-to-end run checks it: both benchmark workloads are CSR.
 _SPARSE_BELOW = 0.05
 
 
@@ -119,10 +123,9 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
 def _integers(what: str, values) -> np.ndarray:
     """`values` as int64; a value that is not a finite integer is a FormatError."""
     a = np.asarray(values)
-    if a.dtype.kind == "f":
-        bad = ~(np.isfinite(a) & (a == np.trunc(a)))
-        if bad.any():
-            raise FormatError(f"{what} must be integers, got {a[bad][0]}")
+    bad = non_integers(a)
+    if bad.any():
+        raise FormatError(f"{what} must be integers, got {a[bad][0]}")
     return a.astype(np.int64)
 
 
@@ -168,13 +171,21 @@ def _check_squared_norms(x, locate_non_finite: bool = False):
 
 
 def features_as(g: Graph, dtype):
-    """`g.x` cast to `dtype` in its stored form, so a CSR graph gives a CSR
-    matrix and no dense copy; a row whose squared norm overflows `dtype` is a
-    FormatError."""
+    """`g.x` cast to `dtype`, in the form the encoders take it: a dense array,
+    or a sparse matrix and no dense copy; a row whose squared norm overflows
+    `dtype` is a FormatError.
+
+    Sparse features wider than tall are given in CSC form: x @ enc_w1 then
+    scatters into the short N-row output and its backward's x.T @ g is a
+    CSR gather, each sum in the same order as from CSR. In texas training
+    (183 x 1703) the first layer took 18-19 ms per epoch so, 24 ms from CSR
+    and 20 ms as dense GEMMs; at c8's shape (5000 x 1000) the CSR gather
+    x.T @ g took 20 ms, the CSC view's scatter 6.6 ms.
+    """
     with np.errstate(over="ignore"):
         x = g.x.astype(dtype, copy=False)
     _check_squared_norms(x)
-    return x
+    return x.tocsc() if sp.issparse(x) and x.shape[1] > x.shape[0] else x
 
 
 def _loadtxt(path, dtype, **kwargs) -> np.ndarray:

@@ -125,9 +125,10 @@ def first_layer_product(params: ModelParams, x, keep: np.ndarray | None = None) 
     of 0s and 1s, the feature-masked view's (x * keep) @ enc_w1, taken as
     x @ (keep.T * enc_w1) so that no masked copy of x is made.
 
-    `x` is a CSR matrix, multiplied by `T.spmm`, or a dense Tensor. Dropout
-    acts only after the first aggregation, so every encoding of the same x
-    can share one product: pass it to the encoders as `xw`.
+    `x` is a sparse matrix, as `graph.features_as` gives it, multiplied by
+    `T.spmm`, or a dense Tensor. Dropout acts only after the first
+    aggregation, so every encoding of the same x can share one product: pass
+    it to the encoders as `xw`.
     """
     if x.shape[1] != params.dims.f_in:
         raise ContractError(

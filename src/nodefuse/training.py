@@ -110,22 +110,11 @@ def _step(params: dict, state: AdamState, lr: float):
 
 
 def _inputs(g: Graph, dtype):
-    """The encoders' features (a sparse matrix or a dense Tensor) and the
-    normalized adjacency, in `dtype`.
-
-    Sparse features wider than tall are given in CSC form: x @ enc_w1 then
-    scatters into the short N-row output and its backward's x.T @ g is a
-    CSR gather, each sum in the same order as from CSR. In texas training
-    (183 x 1703) the first layer took 18-19 ms per epoch so, 24 ms from CSR
-    and 20 ms as dense GEMMs; at c8's shape (5000 x 1000) the CSR gather
-    x.T @ g took 20 ms, the CSC view's scatter 6.6 ms.
-    """
+    """The encoders' features, as `features_as` gives them with a dense array
+    wrapped in a Tensor, and the normalized adjacency, in `dtype`."""
     x = features_as(g, dtype)
-    if not sp.issparse(x):
-        x = Tensor(x)
-    elif x.shape[1] > x.shape[0]:
-        x = x.tocsc()
-    return x, normalized_adjacency_sparse(g).astype(dtype)
+    return (x if sp.issparse(x) else Tensor(x),
+            normalized_adjacency_sparse(g).astype(dtype))
 
 
 def _clean_views(params: ModelParams, x, adj) -> tuple[Tensor, Tensor]:

@@ -286,6 +286,17 @@ class TestFeatureStorage:
         assert np.array_equal(x.toarray(), g.features.astype(np.float32))
         assert features_as(g, np.float64) is g.x
 
+    def test_features_as_gives_wide_sparse_features_in_csc_form(self):
+        # the first layer's backward x.T is then a CSR view; a taller
+        # matrix stays CSR
+        rng = np.random.default_rng(24)
+        for n, f, form in ((20, 60, "csc"), (60, 20, "csr")):
+            g = random_graph(rng, n=n, f=f, word_rate=0.03)
+            assert g.x.format == "csr"
+            x = features_as(g, np.float32)
+            assert x.format == form and x.dtype == np.float32
+            assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+
 
 class TestNormalizedAdjacency:
     def test_isolated_node_self_loop(self):

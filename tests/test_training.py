@@ -303,16 +303,6 @@ def test_contrast_step_keeps_no_copy_of_the_features():
         assert peak < g.n_nodes * g.n_features * 8 / 2
 
 
-def test_inputs_give_wide_sparse_features_in_csc_form():
-    # the backward's x.T is then a CSR view; a taller matrix stays CSR
-    rng = np.random.default_rng(24)
-    for n, f, form in ((20, 60, "csc"), (60, 20, "csr")):
-        g = random_graph(rng, n=n, f=f, word_rate=0.03)
-        x, _ = training._inputs(g, np.float32)
-        assert x.format == form and x.dtype == np.float32
-        assert np.array_equal(x.toarray(), g.features.astype(np.float32))
-
-
 def test_clean_views_build_no_tape():
     # the controller step and embed encode with constant weights: the
     # encodings are the ones the parameters give, but no tape holds them
