@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except OSError as exc:  # an output path that is a directory, a full disk
+            raise ConfigError(f"cannot read or write a file: {exc}") from exc
     except NodefuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

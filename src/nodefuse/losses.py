@@ -61,11 +61,15 @@ def ntxent_pair_loss(z, z_aug, i: int, tau: float) -> float:
     """
     z = _as_array(z)
     z_aug = _as_array(z_aug)
+    if z.ndim != 2:
+        raise ContractError(f"ntxent_pair_loss takes 2-D embeddings, got shape {z.shape}")
     n = z.shape[0]
     if n < 2:
         raise ContractError("ntxent_pair_loss needs at least 2 nodes")
     if z.shape != z_aug.shape:
         raise ContractError(f"shapes {z.shape} and {z_aug.shape} differ")
+    check_range("i", i, 0, n, integer=True)
+    check_range("tau", tau, 0, math.inf, lo_open=True)
     sims = []
     for j in range(n):
         if j != i:
@@ -96,31 +100,18 @@ def view_loss(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
     return T.scale(total, 1.0 / (2.0 * n))
 
 
-def contrast_terms(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig):
-    """Yield the weighted view-loss terms one at a time; a term whose weight
-    is zero is skipped, never built.
-
-    A generator so callers can backpropagate each term before the next one is
-    built; only one view's head tape (its projections and NT-Xent state, all
-    N x d or smaller) is then alive at once. `train` builds `emb` on leaves
-    that share the encodings' data, so each term's backward stops there, and
-    then backpropagates the encoder once, seeded with the leaves' gradients.
-    """
+def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig) -> Tensor:
+    """Weighted sum of the semantic, contextual, and fusion view losses; a
+    term whose weight is zero is skipped, never built."""
+    total = None
     if cfg.include_semantic:
-        yield view_loss(project(params, emb.h_s),
-                        project(params, emb.h_s_aug), cfg.tau)
+        total = view_loss(project(params, emb.h_s), project(params, emb.h_s_aug), cfg.tau)
     for weight, z, z_aug in ((cfg.beta1, emb.h_c, emb.h_c_aug),
                              (cfg.beta2, emb.h_f, emb.h_f_aug)):
         if weight:
-            yield T.scale(view_loss(project(params, z), project(params, z_aug),
-                                    cfg.tau), weight)
-
-
-def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig) -> Tensor:
-    """Weighted sum of the semantic, contextual, and fusion view losses."""
-    total = None
-    for term in contrast_terms(emb, params, cfg):
-        total = term if total is None else T.add(total, term)
+            term = T.scale(view_loss(project(params, z), project(params, z_aug),
+                                     cfg.tau), weight)
+            total = term if total is None else T.add(total, term)
     return total
 
 

@@ -201,6 +201,9 @@ def controller_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor,
         raise ContractError(
             f"degree has length {len(degree)}, expected {h_s.rows}"
         )
+    degree = np.asarray(degree, dtype=np.float64)
+    if not np.all((degree >= 0) & (degree < np.inf)):    # NaN fails both
+        raise ContractError("degree must be finite and non-negative")
     hs = h_s.detach()
     hc = h_c.detach()
     w_s = T.relu(T.matmul(hs, params.filt_s))

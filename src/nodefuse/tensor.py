@@ -1,14 +1,17 @@
 """Dense 2-D tensors with reverse-mode automatic differentiation.
 
 Every value is a row-major matrix; scalars are 1x1. Operations record a tape
-of (parents, vector-Jacobian product) pairs and ``backward`` replays it once
-in reverse topological order. Float64 is the default so finite-difference
-checks are meaningful; float32 is accepted for fast training runs.
+of (parents, vector-Jacobian product) pairs. ``backward`` takes one 1x1 loss
+and replays its tape once, in reverse topological order, freeing it as it
+goes. Float64 is the default so finite-difference checks are meaningful;
+float32 is accepted for fast training runs.
 
 The tape is made of ``Node``s, not tensors: a tensor that takes a gradient
 points at its node, and a node's parents are nodes, so the tape holds no
 value. An op's backward closure captures only the arrays it reads; any
-other intermediate array dies as soon as the forward code drops its tensor.
+other intermediate array dies as soon as the forward code drops its tensor,
+and the arrays a closure reads die once ``backward`` has run it. A walked
+tape cannot be walked again: build the loss again instead.
 
 The op protocol: an op's ``_backward(g)`` takes its output's gradient and
 returns its vector-Jacobian products, one entry per parent in ``_parents``
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, DomainError, ShapeError, check_range
 
 _NORM_EPS = 1e-12
 _ADAM_SLICE = 2 ** 15     # elements per adam_step slice: 256 KB of float64
@@ -437,29 +440,23 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     return _result(np.array([[total]], dtype=dt), (zn, an), backward)
 
 
-def backward(*roots):
-    """Accumulate into .grad of every requires_grad leaf the gradient of
-    sum_r <r, seed_r> over `roots`, in one reverse topological pass.
+def _walked(g):
+    raise ContractError("backward: this tape was already walked; build the loss again")
 
-    Each root is a 1x1 loss (seed 1) or a (tensor, seed array) pair whose
-    seed has the tensor's shape; a root given twice accumulates.
+
+def backward(loss: Tensor):
+    """Accumulate into .grad of every requires_grad leaf the gradient of the
+    1x1 `loss`, in one reverse topological pass that consumes the tape.
+
+    Once an op's closure has run, its node drops the closure and its parents,
+    so the op's arrays die as the walk passes them; a later walk through the
+    node raises a ContractError.
     """
-    seeds = []
-    for root in roots:
-        if isinstance(root, Tensor):
-            if root.shape != (1, 1):
-                raise ContractError(f"backward: loss must be 1x1, got {root.shape}")
-            seeds.append((root.node, np.ones((1, 1), dtype=root.data.dtype)))
-        else:
-            tensor, g = root
-            if g.shape != tensor.shape:
-                raise ShapeError(
-                    f"backward: seed shape {g.shape} != root shape {tensor.shape}")
-            seeds.append((tensor.node, g))
-
+    if loss.shape != (1, 1):
+        raise ContractError(f"backward: loss must be 1x1, got {loss.shape}")
     topo: list[Node] = []
     seen: set[Node] = set()
-    stack = [(node, False) for node, _ in seeds if node is not None]
+    stack = [] if loss.node is None else [(loss.node, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -473,18 +470,17 @@ def backward(*roots):
             if p is not None and p not in seen:
                 stack.append((p, False))
 
-    grads: dict[Node, np.ndarray] = {}
-    for node, g in seeds:
-        _accum(grads, node, g)
+    grads = {loss.node: np.ones((1, 1), dtype=loss.data.dtype)}
     for node in reversed(topo):
         g = grads.pop(node, None)
-        if g is None:
+        if node.backward is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
             continue
-        if node.backward is not None:
+        if g is not None:
             for p, gp in zip(node.parents, node.backward(g)):
                 _accum(grads, p, gp)
-        else:
-            node.grad = g if node.grad is None else node.grad + g
+        node.parents, node.backward = (), _walked
 
 
 @dataclass
@@ -499,20 +495,25 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     """In-place Adam update with bias correction over name-keyed arrays.
 
+    `lr` must be a finite number >= 0, and `grads` must have the keys of
+    `params` and their shapes; both are checked before anything is written.
+
     Every product and quotient is taken in the same order as in the textbook
     p -= lr * m_hat / (sqrt(v_hat) + eps), so updates are bitwise equal to
     it, but in place, on slices of rows of about _ADAM_SLICE elements that
     stay in cache across the 14 passes, through two scratch arrays.
     """
+    check_range("lr", lr, 0, np.inf)
+    grad_shapes = {name: g.shape for name, g in grads.items()}
+    param_shapes = {name: p.shape for name, p in params.items()}
+    if grad_shapes != param_shapes:
+        raise ContractError(f"adam_step: gradient shapes {grad_shapes} "
+                            f"!= parameter shapes {param_shapes}")
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ContractError(
-                f"adam_step: gradient shape {g.shape} != param shape {p.shape} for {name!r}"
-            )
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .augment import AugmentConfig, drop_edges, mask_features
 from .errors import ContractError, TrainingDiverged, check_range
 from .graph import Graph, features_as, normalized_adjacency_sparse
-from .losses import (ContrastConfig, ControllerConfig, contrast_terms,
+from .losses import (ContrastConfig, ControllerConfig, contrast_loss,
                      controller_loss)
 from .model import (EmbeddingSet, ModelDims, ModelParams, controller_lambda,
                     encode_contextual, encode_semantic, first_layer_product,
@@ -154,27 +154,19 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
     # no backward reads xw or the products and aggregations between it and
     # the encodings, so dropping it frees them all
     del xw
-    # the heads start from leaves sharing the encodings' data, so each
-    # term's backward stops at them and the encoder is walked once below
-    h_s, h_s_aug, h_c, h_c_aug = leaves = [
-        Tensor(h.data, requires_grad=True) for h in encoded]
+    h_s, h_s_aug, h_c, h_c_aug = encoded
     lam = _fusion_lambda(params, h_s, h_c, g.degree, cfg.fixed_lambda)
     emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
                        h_f=fuse(h_s, h_c, lam),
                        h_f_aug=fuse(h_s_aug, h_c_aug, lam))
-    loss = 0.0
-    # backpropagate the heads term by term, so that one view's head tape
-    # is live at a time, into the projector and the four leaves
-    for term in contrast_terms(emb, params, cfg.contrast):
-        val = term.item()
-        if not np.isfinite(val):
-            raise TrainingDiverged(epoch, "contrast")
-        loss += val
-        T.backward(term)
-        del term    # frees this view's tape before the next view builds its own
-    # then the encoder once, seeded with the gradients the leaves gathered
-    T.backward(*[(h, leaf.grad) for h, leaf in zip(encoded, leaves)
-                 if leaf.grad is not None])
+    total = contrast_loss(emb, params, cfg.contrast)
+    # backward frees each op's arrays as it walks past, unless a name here
+    # still holds them
+    del encoded, h_s, h_s_aug, h_c, h_c_aug, emb
+    loss = total.item()
+    if not np.isfinite(loss):   # each term is >= 0: the sum is finite iff each is
+        raise TrainingDiverged(epoch, "contrast")
+    T.backward(total)
     _step(params.contrast_params(), state, cfg.lr)
     return loss, lam.data[:, 0]
 

@@ -412,6 +412,22 @@ class TestOutputNamesFile:
         self.check(rc, capsys, tmp_path)
 
 
+@pytest.mark.parametrize("command, name", [("train", "model.ckpt"),
+                                           ("eval", "eval_results.jsonl"),
+                                           ("analyze", "similarity_histogram.json")])
+def test_output_file_that_is_a_directory_exits_2(tmp_path, dataset, command, name, capsys):
+    args = {"train": lambda: ["--config", str(write_config(tmp_path, dataset))],
+            "eval": lambda: ["--checkpoint", str(train_checkpoint(tmp_path, dataset)),
+                             "--dataset", str(dataset)],
+            "analyze": lambda: ["--dataset", str(dataset)]}[command]()
+    out = tmp_path / "written"
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 class TestMalformedDataset:
     def test_train_exits_2(self, tmp_path, dataset, case, capsys):

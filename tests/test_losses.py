@@ -77,6 +77,15 @@ class TestPairLoss:
         with pytest.raises(ContractError):
             ntxent_pair_loss(np.ones((1, 3)), np.ones((1, 3)), 0, 0.5)
 
+    @pytest.mark.parametrize("i, tau, shape", [
+        (0, 0.0, (4, 3)), (0, -1.0, (4, 3)), (0, np.nan, (4, 3)),
+        (4, 0.5, (4, 3)), (-1, 0.5, (4, 3)), (1.5, 0.5, (4, 3)), (True, 0.5, (4, 3)),
+        (0, 0.5, (4,))])
+    def test_bad_arguments_rejected(self, i, tau, shape):
+        z = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        with pytest.raises(ContractError):
+            ntxent_pair_loss(z, z[::-1].copy(), i, tau)
+
     def test_temperature_monotonicity(self):
         # positive pair strictly most similar: smaller tau sharpens, loss drops
         rng = np.random.default_rng(4)

@@ -164,6 +164,13 @@ class TestController:
         assert abs(d.std() - 1.0) < 1e-12
         assert np.array_equal(degree_feature(np.array([4, 4, 4])), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_degree_rejected(self, params, bad):
+        h = Tensor(np.random.default_rng(15).normal(size=(4, 5)))
+        degree = np.array([1.0, 2.0, bad, 3.0])
+        with pytest.raises(ContractError, match="degree"):
+            controller_lambda(params, h, h, degree)
+
 
 class TestFuse:
     def test_lambda_zero_gives_semantic(self):
@@ -252,7 +259,8 @@ def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype):
             masked = encode_semantic(p, x, drop, xw=xw)
         else:
             masked = encode_semantic(p, Tensor(mask_features(feats, 0.5, keep_rng)), drop)
-        backward((encode_semantic(p, x), seeds[0]), (masked, seeds[1]))
+        backward(T.add(T.sum_all(T.mul(encode_semantic(p, x), Tensor(seeds[0]))),
+                       T.sum_all(T.mul(masked, Tensor(seeds[1])))))
         return masked.data, p.enc_w1.grad
 
     for new, old in zip(run(True), run(False)):
@@ -269,7 +277,11 @@ class TestSparseFeatures:
         hs = [encode_semantic(params, x, drop),
               encode_semantic(params, x, drop, xw=first_layer_product(params, x, keep)),
               encode_contextual(params, x, adj, drop)]
-        backward(*zip(hs, seeds))
+        loss = None
+        for h, seed in zip(hs, seeds):
+            term = T.sum_all(T.mul(h, Tensor(seed)))
+            loss = term if loss is None else T.add(loss, term)
+        backward(loss)
         return [h.data for h in hs] + [params.enc_w1.grad, params.enc_w2.grad]
 
     def test_csr_and_dense_features_agree(self, params):
@@ -320,7 +332,7 @@ class TestSparseFeatures:
             for form in (x, x.tocsc()):
                 w = Tensor(w0.copy(), requires_grad=True)
                 out = T.spmm(form, w)
-                backward((out, g))
+                backward(T.sum_all(T.mul(out, Tensor(g))))
                 runs.append((out.data.tobytes(), w.grad.tobytes()))
             assert runs[0] == runs[1]
 

@@ -97,28 +97,45 @@ def _wrap_backward(out, on_backward):
 
 
 class TestSplitBackward:
-    """The contrast phase backpropagates each head term down to leaves on the
-    encodings, then walks the encoder once; no tape outlives its epoch."""
+    """The contrast phase sums its terms into one loss and walks the tape
+    once, freeing it as it goes; no tape outlives its epoch."""
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, RANDOM_LAMBDA, None])
     @pytest.mark.parametrize("include", INCLUDES)
     def test_gradients_match_summed_loss(self, graph, monkeypatch, include, lam):
         cfg = small_cfg(epochs=1, fixed_lambda=lam, contrast=ContrastConfig(
             include_semantic=include[0], beta1=float(include[1]), beta2=float(include[2])))
-        encoded, fuse_lams, made, checked = [], [], [], []
+        encoder_calls, products, fuse_lams, made, checked = [], [], [], [], []
+        product = training.first_layer_product
+
+        def recording_product(*args):
+            out = product(*args)
+            products.append((out, args))
+            return out
+
+        def recording_encoder(encode):
+            def wrapper(*args, **kwargs):
+                encoder_calls.append((encode, args, kwargs["xw"]))
+                return encode(*args, **kwargs)
+            return wrapper
 
         def recording_fuse(h_s, h_c, lam_t):
             fuse_lams.append(lam_t)
             return fuse(h_s, h_c, lam_t)
 
+        def fresh_encoding(encode, args, xw):
+            # the step's tape is walked, so the reference builds its own
+            xw_args = next(a for out, a in products if out is xw)
+            return encode(*args, xw=product(*xw_args))
+
         real_step = training._step
 
         def checking_step(group, state, lr):
             if "enc_w1" in group:
-                split = {name: t.grad.copy() for name, t in group.items()}
+                step = {name: t.grad.copy() for name, t in group.items()}
                 for t in group.values():
                     t.grad = None
-                h_s, h_s_aug, h_c, h_c_aug = encoded[:4]
+                h_s, h_s_aug, h_c, h_c_aug = (fresh_encoding(*c) for c in encoder_calls[:4])
                 lam_t = fuse_lams[0]
                 emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
                                    h_f=fuse(h_s, h_c, lam_t),
@@ -127,13 +144,13 @@ class TestSplitBackward:
                 for name, t in group.items():
                     scale = np.abs(t.grad).max()
                     assert scale > 0.0, name
-                    assert np.abs(split[name] - t.grad).max() <= 1e-12 * scale, name
+                    assert np.abs(step[name] - t.grad).max() <= 1e-12 * scale, name
                 checked.append(True)
             real_step(group, state, lr)
 
+        monkeypatch.setattr(training, "first_layer_product", recording_product)
         for name in ("encode_semantic", "encode_contextual"):
-            monkeypatch.setattr(training, name,
-                                _recording(getattr(training, name), encoded.append))
+            monkeypatch.setattr(training, name, recording_encoder(getattr(training, name)))
         monkeypatch.setattr(training, "fuse", recording_fuse)
         monkeypatch.setattr(training, "init_params",
                             _recording(training.init_params, made.append))
@@ -164,27 +181,43 @@ class TestSplitBackward:
             # x @ enc_w1 shared by three encodings and one of the masked features
             assert counts == {"spmm": 4, f"first_layer_{first_op}": 2}
 
-    def test_each_term_freed_before_next_view(self, graph, monkeypatch):
-        # Tensor has __slots__ without __weakref__, so the test watches the
-        # loss's own data array, which nothing but the loss tensor holds
+    def test_one_backward_per_contrast_step(self, graph, monkeypatch):
+        # a fixed lambda runs no controller step, so every call is the contrast's
+        calls = []
+        monkeypatch.setattr(T, "backward", _recording(T.backward, calls.append))
+        train(graph, small_cfg(epochs=3, fixed_lambda=0.5))
+        assert len(calls) == 3
+
+    def test_head_arrays_die_before_the_encoder_walk(self, graph, monkeypatch):
+        # the projector's hidden layers and NT-Xent's unit rows are held only
+        # by head closures, which backward drops as it walks past them
         refs, alive = [], []
-        terms, view = losses.contrast_terms, T.ntxent_view
 
-        def tracking_terms(*args, **kwargs):
-            for term in terms(*args, **kwargs):
-                refs.append(weakref.ref(term.data))
-                yield term
-                del term
+        def tracked(op, keep):
+            def wrapper(*args):
+                out = op(*args)
+                if keep(out):
+                    refs.append(weakref.ref(out.data))
+                return out
+            return wrapper
 
-        def checked_view(*args):
-            alive.append([r() is not None for r in refs])
-            return view(*args)
+        def check():
+            if not alive:
+                alive.append([r() is not None for r in refs])
 
-        monkeypatch.setattr(training, "contrast_terms", tracking_terms)
-        monkeypatch.setattr(losses, "contrast_terms", tracking_terms)
-        monkeypatch.setattr(T, "ntxent_view", checked_view)
-        train(graph, small_cfg(epochs=1))
-        assert alive == [[], [False], [False, False]]
+        f_proj = SMALL["dims"][1]
+        monkeypatch.setattr(T, "relu", tracked(T.relu, lambda out: out.cols == f_proj))
+        monkeypatch.setattr(T, "normalize_rows", tracked(T.normalize_rows, lambda out: True))
+        for name in ("encode_semantic", "encode_contextual"):
+            monkeypatch.setattr(training, name, _recording(
+                getattr(training, name), lambda out: _wrap_backward(out, check)))
+        train(graph, small_cfg(epochs=1, fixed_lambda=0.5))
+        # three views, two projections and two normalizations each. The walk
+        # is the reverse of a depth-first post-order from the loss, which
+        # passes the clean encoders before the fusion head's perturbed branch:
+        # only that branch's hidden layer and unit rows are still alive
+        fusion_aug = {9, 11}
+        assert alive == [[i in fusion_aug for i in range(12)]]
 
     @pytest.mark.parametrize("off", [dict(beta1=0.0), dict(beta2=0.0),
                                      dict(include_semantic=False)],
@@ -202,7 +235,7 @@ class TestSplitBackward:
                                                           monkeypatch):
         # the shared x @ enc_w1, the masked view's product, the contextual
         # first-layer aggregations and h @ enc_w2 products are dead by the
-        # first term's backward; the encodings themselves are alive. The
+        # backward; the encodings themselves are alive. The
         # first layer is a matmul on dense features and an spmm on CSR ones.
         for g in (graph, bow_graph):
             refs = {"first_layer": [], "spmm": [], "enc_w2": []}
@@ -223,10 +256,10 @@ class TestSplitBackward:
                     refs[key].append(weakref.ref(out.data))
                 return out
 
-            def checked_backward(*roots):
+            def checked_backward(loss):
                 if not alive:
                     alive.append({k: [r() is not None for r in v] for k, v in refs.items()})
-                return real_backward(*roots)
+                return real_backward(loss)
 
             monkeypatch.setattr(T, "matmul", tracked_matmul)
             monkeypatch.setattr(T, "spmm", tracked_spmm)
