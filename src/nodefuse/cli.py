@@ -126,9 +126,10 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
         raise ConfigError(f"--ratio must be a/b/c with a nonzero sum, got {text!r}") from None
 
 
-def _output_dir(out, create: bool = True) -> Path:
+def _output_dir(out, create: bool = True, names=()) -> Path:
     """`out` as an output directory, made unless `create` is False (a check
-    that writes nothing); a path that is or lies under a file is a ConfigError."""
+    that writes nothing); a path that is or lies under a file, or whose
+    output file `names` include a directory, is a ConfigError."""
     path = Path(out or ".")
     try:
         if create:
@@ -137,6 +138,9 @@ def _output_dir(out, create: bool = True) -> Path:
             nearest = next(p for p in (path, *path.parents) if p.exists())
             if not nearest.is_dir():
                 raise NotADirectoryError(f"{nearest} is not a directory")
+        for name in names:
+            if (path / name).is_dir():
+                raise IsADirectoryError(f"{path / name} is a directory")
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to {path}: {exc}") from exc
     return path
@@ -145,7 +149,8 @@ def _output_dir(out, create: bool = True) -> Path:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     tcfg = build_train_config(cfg, seed_override=args.seed)
-    out_dir = _output_dir(args.out or cfg.get("output_dir"), create=False)
+    out_dir = _output_dir(args.out or cfg.get("output_dir"), create=False,
+                          names=("model.ckpt", "train_report.jsonl", "config_snapshot.json"))
     g = load_graph(cfg["dataset_dir"])
     report = train(g, tcfg)
     _output_dir(out_dir)

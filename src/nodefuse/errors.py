@@ -10,17 +10,9 @@ class NodefuseError(Exception):
     pass
 
 
-class ShapeError(NodefuseError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class DomainError(NodefuseError):
-    """Input value outside the mathematical domain of the operation."""
-
-
 class ContractError(NodefuseError):
-    """A caller-facing precondition was violated; `field`, when set, names
-    the argument at fault."""
+    """A caller-facing precondition was violated, a shape or a value range
+    among them; `field`, when set, names the argument at fault."""
 
     field: str | None = None
 

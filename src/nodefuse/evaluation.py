@@ -244,11 +244,8 @@ def _contingency(pred, truth) -> np.ndarray:
 def clustering_accuracy(pred, truth) -> float:
     """Maximum agreement over injective cluster-to-class mappings."""
     table = _contingency(pred, truth)
-    side = max(table.shape)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[:table.shape[0], :table.shape[1]] = table
-    rows, cols = linear_sum_assignment(-padded)
-    return float(padded[rows, cols].sum() / len(np.asarray(pred)))
+    rows, cols = linear_sum_assignment(-table)
+    return float(table[rows, cols].sum() / len(np.asarray(pred)))
 
 
 def _entropy(counts: np.ndarray) -> float:

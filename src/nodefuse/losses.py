@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, check_range
-from .model import EmbeddingSet, FusionWeights, ModelParams, project
+from .model import EmbeddingSet, ModelParams, project
 from . import tensor as T
 from .tensor import Tensor
 
@@ -88,16 +88,11 @@ def view_loss(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
     Cosine similarities are bounded by 1, so exp((s - 1)/tau) is used as the
     stabilized kernel; the constant shift cancels in the final expression.
     """
-    n = z.rows
-    if n < 2:
-        raise ContractError("view_loss needs at least 2 nodes")
-    if z.shape != z_aug.shape:
-        raise ContractError(f"view_loss: shapes {z.shape} and {z_aug.shape} differ")
     check_range("tau", tau, 0, math.inf, lo_open=True)
     zn = T.normalize_rows(z)
     an = T.normalize_rows(z_aug)
     total = T.ntxent_view(zn, an, 1.0 / tau)
-    return T.scale(total, 1.0 / (2.0 * n))
+    return T.scale(total, 1.0 / (2.0 * z.rows))
 
 
 def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig) -> Tensor:
@@ -115,23 +110,23 @@ def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig) -
     return total
 
 
-def controller_loss(lam, h_s: Tensor, h_c: Tensor, cfg: ControllerConfig) -> Tensor:
+def controller_loss(lam: Tensor, h_s: Tensor, h_c: Tensor,
+                    cfg: ControllerConfig) -> Tensor:
     """Similarity-weighted lambda sum plus the two distribution penalties.
 
-    The view embeddings enter as constants; only lambda (and through it the
-    controller parameters) receives gradient.
+    `lam` is the N x 1 fusion weight. The view embeddings enter as constants;
+    only lambda (and through it the controller parameters) receives gradient.
     """
-    lam_t = lam.lam if isinstance(lam, FusionWeights) else lam
     sims = T.cosine_rows(h_s.detach(), h_c.detach())
-    if sims.shape != lam_t.shape:
+    if sims.shape != lam.shape:
         raise ContractError(
-            f"lambda shape {lam_t.shape} does not match {sims.shape} similarities"
+            f"lambda shape {lam.shape} does not match {sims.shape} similarities"
         )
-    total = T.sum_all(T.mul(lam_t, sims))
+    total = T.sum_all(T.mul(lam, sims))
     if cfg.alpha1 != 0.0:
-        norm = T.sqrt(T.sum_all(T.mul(lam_t, lam_t)))
+        norm = T.sqrt(T.sum_all(T.mul(lam, lam)))
         total = T.add(total, T.scale(norm, cfg.alpha1))
     if cfg.alpha2 != 0.0:
-        pen = T.absolute(T.add_scalar(T.mean_all(lam_t), -cfg.epsilon))
+        pen = T.absolute(T.add_scalar(T.mean_all(lam), -cfg.epsilon))
         total = T.add(total, T.scale(pen, cfg.alpha2))
     return total

@@ -169,10 +169,6 @@ def encode_contextual(params: ModelParams, x, adj_hat,
 
 
 def project(params: ModelParams, h: Tensor) -> Tensor:
-    if h.cols != params.dims.f_embed:
-        raise ContractError(
-            f"projector expects {params.dims.f_embed} columns, got {h.cols}"
-        )
     z = T.relu(T.add(T.matmul(h, params.proj_w1), params.proj_b1))
     return T.add(T.matmul(z, params.proj_w2), params.proj_b2)
 
@@ -193,10 +189,6 @@ def controller_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor,
     The view embeddings and the degree are treated as constants: gradients
     reach only the controller parameters.
     """
-    if h_s.shape != h_c.shape:
-        raise ContractError(
-            f"view embeddings disagree: {h_s.shape} vs {h_c.shape}"
-        )
     if len(degree) != h_s.rows:
         raise ContractError(
             f"degree has length {len(degree)}, expected {h_s.rows}"
@@ -217,8 +209,6 @@ def controller_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor,
 
 def fuse(h_s: Tensor, h_c: Tensor, lam: Tensor) -> Tensor:
     """Row i of the result is h_s[i] + lam[i] * h_c[i]."""
-    if h_s.shape != h_c.shape:
-        raise ContractError(f"fuse: shapes {h_s.shape} and {h_c.shape} differ")
     return T.rowscale(h_c, lam, base=h_s)
 
 

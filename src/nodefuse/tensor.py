@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, DomainError, ShapeError, check_range
+from .errors import ContractError, check_range
 
 _NORM_EPS = 1e-12
 _ADAM_SLICE = 2 ** 15     # elements per adam_step slice: 256 KB of float64
@@ -57,7 +57,7 @@ class Tensor:
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
+            raise ContractError(f"Tensor: expected a 2-D array, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -129,7 +129,7 @@ def _accum(grads: dict, node: Node | None, g: np.ndarray | None):
 
 def _check_same_shape(a, b, op: str):
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
@@ -138,7 +138,7 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str):
         return
     if a.shape[1] == b.shape[1] and (a.rows == 1 or b.rows == 1):
         return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
+    raise ContractError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -149,7 +149,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
+        raise ContractError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
 
     # each operand's product reads the other's array, and a constant operand
     # (the features in x @ enc_w1) takes no product
@@ -166,7 +166,7 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     view of a CSC one; no copy of adj is made.
     """
     if adj.shape[1] != x.rows:
-        raise ShapeError(f"spmm: inner dims of {adj.shape} and {x.shape} differ")
+        raise ContractError(f"spmm: inner dims of {adj.shape} and {x.shape} differ")
     return _result(adj @ x.data, (x,), lambda g: (adj.T @ g,))
 
 
@@ -229,7 +229,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
-        raise DomainError("sqrt: negative input")
+        raise ContractError(f"sqrt: negative input in a {a.shape} tensor")
     out = np.sqrt(a.data)
     return _result(out, (a,), lambda g: (g * 0.5 / np.maximum(out, _NORM_EPS),))
 
@@ -263,7 +263,7 @@ def concat_cols(tensors) -> Tensor:
     n = tensors[0].rows
     for t in tensors:
         if t.rows != n:
-            raise ShapeError(
+            raise ContractError(
                 f"concat_cols: row counts differ ({t.shape} vs {tensors[0].shape})"
             )
     widths = [t.cols for t in tensors]
@@ -275,18 +275,19 @@ def concat_cols(tensors) -> Tensor:
 def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
     """Scale row i of `a` by the scalar v[i]; v is Nx1. With `base`, the
     node is base + v * a, so the scaled rows are not kept."""
-    if v.cols != 1 or v.rows != a.rows:
-        raise ShapeError(f"rowscale: expected {a.rows}x1 weights, got {v.shape}")
-    out = a.data * v.data
-    if base is not None:
+    with_base = base is not None
+    if with_base:
         _check_same_shape(base, a, "rowscale")
+    if v.cols != 1 or v.rows != a.rows:
+        raise ContractError(f"rowscale: weights {v.shape} do not fit the rows of {a.shape}")
+    out = a.data * v.data
+    if with_base:
         out += base.data
 
     # constant weights (the keep row in x @ rowscale(enc_w1, keep.T), the
     # fusion weight) take no product, and then a's array is not kept
     ad = a.data if v.requires_grad else None
     vd = v.data if a.requires_grad else None
-    with_base = base is not None
 
     def backward(g):
         ga = None if vd is None else g * vd
@@ -386,7 +387,7 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     _check_same_shape(zn, an, "ntxent_view")
     n, d = zn.shape
     if n < 2:
-        raise ShapeError("ntxent_view needs at least 2 rows")
+        raise ContractError(f"ntxent_view: needs at least 2 rows, got {zn.shape}")
     t = float(inv_tau)
     z, a = zn.data, an.data
     dt = z.dtype

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,13 +73,9 @@ class EpochRecord:
 
     def to_json(self) -> str:
         # wall-clock stays in memory only so reruns serialize byte-identically
-        return json.dumps({
-            "epoch": self.epoch,
-            "contrast_loss": self.contrast_loss,
-            "controller_loss": self.controller_loss,
-            "lambda_mean": self.lambda_mean,
-            "lambda_std": self.lambda_std,
-        })
+        record = asdict(self)
+        del record["seconds"]
+        return json.dumps(record)
 
 
 @dataclass
@@ -176,7 +172,7 @@ def _controller_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: Ada
     """Controller phase: phi moves against the detached clean encodings."""
     h_s, h_c = _clean_views(params, x, adj)
     weights = controller_lambda(params, h_s, h_c, g.degree)
-    closs = controller_loss(weights, h_s, h_c, cfg.controller)
+    closs = controller_loss(weights.lam, h_s, h_c, cfg.controller)
     loss = closs.item()
     if not np.isfinite(loss):
         raise TrainingDiverged(epoch, "controller")

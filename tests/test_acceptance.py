@@ -87,7 +87,7 @@ def test_criterion_1_gradient_correctness():
             h_s = encode_semantic(params, x)
             h_c = encode_contextual(params, x, adj)
             w = controller_lambda(params, h_s, h_c, g.degree)
-            return controller_loss(w, h_s, h_c, pcfg)
+            return controller_loss(w.lam, h_s, h_c, pcfg)
 
         worst_controller = max(worst_controller,
                                _fd_max_rel_err(params.controller_params(), ploss))
@@ -147,7 +147,7 @@ def test_criterion_3_controller_constraint():
         pparams = params.controller_params()
         for _ in range(200):
             weights = controller_lambda(params, hs, hc, degree)
-            loss = controller_loss(weights, hs, hc, cfg)
+            loss = controller_loss(weights.lam, hs, hc, cfg)
             for t in pparams.values():
                 t.grad = None
             backward(loss)

@@ -413,13 +413,18 @@ class TestOutputNamesFile:
 
 
 @pytest.mark.parametrize("command, name", [("train", "model.ckpt"),
+                                           ("train", "train_report.jsonl"),
+                                           ("train", "config_snapshot.json"),
                                            ("eval", "eval_results.jsonl"),
                                            ("analyze", "similarity_histogram.json")])
-def test_output_file_that_is_a_directory_exits_2(tmp_path, dataset, command, name, capsys):
+def test_output_file_that_is_a_directory_exits_2(tmp_path, dataset, command, name, capsys,
+                                                 monkeypatch):
     args = {"train": lambda: ["--config", str(write_config(tmp_path, dataset))],
             "eval": lambda: ["--checkpoint", str(train_checkpoint(tmp_path, dataset)),
                              "--dataset", str(dataset)],
             "analyze": lambda: ["--dataset", str(dataset)]}[command]()
+    # train finds a taken output name before it trains, and so loses no model
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
     out = tmp_path / "written"
     (out / name).mkdir(parents=True)
     capsys.readouterr()

@@ -1,10 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from nodefuse import (ContrastConfig, ControllerConfig, EmbeddingSet,
                       ModelDims, Tensor, backward, contrast_loss,
-                      controller_loss, fuse, init_params, ntxent_pair_loss,
-                      project, view_loss)
+                      controller_lambda, controller_loss, fuse, init_params,
+                      ntxent_pair_loss, project, view_loss)
 from nodefuse import tensor as T
 from nodefuse.errors import ContractError
 
@@ -267,8 +270,37 @@ class TestGradientIsolation:
 
     def test_controller_loss_never_touches_omega_mu(self):
         params, g, h_s, h_c, weights = self._full_setup(1)
-        backward(controller_loss(weights, h_s, h_c, ControllerConfig()))
+        backward(controller_loss(weights.lam, h_s, h_c, ControllerConfig()))
         for t in params.contrast_params().values():
             assert t.grad is None
         for t in params.controller_params().values():
             assert t.grad is not None
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+def _sizes(*sizes):
+    return tuple(rf"\b{n}\b" for n in sizes)
+
+
+@pytest.mark.parametrize("call, fragments", [
+    (lambda p: fuse(_zeros(7, 6), _zeros(5, 6), _zeros(7, 1)), _sizes(7, 5)),
+    (lambda p: fuse(_zeros(7, 6), _zeros(7, 9), _zeros(7, 1)), _sizes(6, 9)),
+    (lambda p: view_loss(_zeros(1, 6), _zeros(1, 6), 0.5), ("at least 2",)),
+    (lambda p: view_loss(_zeros(7, 6), _zeros(7, 9), 0.5), _sizes(6, 9)),
+    (lambda p: project(p, _zeros(7, 9)), _sizes(6, 9)),
+    (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(5, 6), np.ones(7)), _sizes(7, 5)),
+    (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 9), np.ones(7)), _sizes(6, 9)),
+], ids=["fuse-rows", "fuse-cols", "view_loss-one-row", "view_loss-shapes",
+        "project-width", "controller_lambda-rows", "controller_lambda-cols"])
+def test_shape_fault_is_a_contract_error_naming_the_sizes(call, fragments):
+    params = init_params(np.random.default_rng(0),
+                         ModelDims(f_in=8, f_embed=6, f_proj=4, f_filter=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError) as info:
+            call(params)
+    for fragment in fragments:
+        assert re.search(fragment, str(info.value)), (fragment, str(info.value))

@@ -39,3 +39,13 @@ def test_tracer_times_every_ntxent_backward(monkeypatch):
     names = [s.name for s in t.spans]
     assert names.count("tensor.ntxent_view") == 3
     assert names.count(tracer.NTXENT_BWD) == 3
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # a library rename that the tracer still names fails here, by name, in
+    # well under the self-test's time
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in tracer.TARGETS
+               if not callable(getattr(module, attr, None))]
+    assert not missing, missing
