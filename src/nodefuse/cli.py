@@ -173,6 +173,7 @@ def cmd_eval(args) -> int:
     if g.n_features != params.dims.f_in:
         raise CheckpointError(f"dataset has {g.n_features} features but the checkpoint "
                               f"{args.checkpoint} expects {params.dims.f_in}")
+    _output_dir(args.out, create=False, names=("eval_results.jsonl",))
     reps = embed(g, params, fixed_lambda=args.fixed_lambda)
     with np.errstate(over="ignore"):
         finite = np.isfinite(np.einsum("ij,ij->i", reps.data, reps.data))
@@ -206,6 +207,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = load_graph(args.dataset)
+    _output_dir(args.out, create=False, names=("similarity_histogram.json",))
     sims, isolated = neighborhood_similarity(g)
     counts, edges = np.histogram(sims[~isolated], bins=50, range=(-1.0, 1.0))
     out_dir = _output_dir(args.out)

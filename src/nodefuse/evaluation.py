@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError, check_range, non_integers
 from .graph import Split
@@ -243,6 +242,10 @@ def _contingency(pred, truth) -> np.ndarray:
 
 def clustering_accuracy(pred, truth) -> float:
     """Maximum agreement over injective cluster-to-class mappings."""
+    # imported here: scipy.optimize adds about 27 MB to every process that
+    # loads it, and nothing else in the library uses it
+    from scipy.optimize import linear_sum_assignment
+
     table = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / len(np.asarray(pred)))

@@ -349,6 +349,16 @@ def _exp_tiles(left, right, buf, symmetric: bool, diag=None):
         yield lo, hi, tile
 
 
+# Rows per in-place weight multiply: its (rows, N) weight sums stay small.
+_FOLD_ROWS = 32
+
+
+def _fold(tile, w_rows, w_cols):
+    """Multiply tile[r, c] by w_rows[r] + w_cols[c] in place."""
+    for r in range(0, tile.shape[0], _FOLD_ROWS):
+        tile[r:r + _FOLD_ROWS] *= np.add.outer(w_rows[r:r + _FOLD_ROWS], w_cols)
+
+
 def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     """Sum of the 2N symmetrized NT-Xent anchor losses for unit-row inputs.
 
@@ -376,13 +386,16 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     denominator so small that t / denominator overflows (every term of its
     row underflowed) makes the loss NaN, with no warning.
 
-    Backward: the tiles are recomputed, not stored. With per-row weights
-    w = t / (row denominator), the gradient through a symmetric self block E
-    is (E * (w_i + w_j)) @ x = w * (E @ x) + E @ (w * x), and the cross
-    block expands the same way, so the walk takes the N x 2d operands
-    [x, w * x]. The positive pair's similarity gets
-    t * e^p_i * (1/d_fwd + 1/d_bwd) - 2t, taken without cancellation as
-    -t * (n_fwd / d_fwd + n_bwd / d_bwd).
+    Backward: the tiles are recomputed, not stored, and so are the GEMM
+    operands, which the tape does not keep: it holds only zn, an and
+    N-vectors. With per-row weights w = t / (row denominator), the gradient
+    through a symmetric self block E is (E * (w_i + w_j)) @ x; the weights
+    are w_fwd on both sides of E_zz, w_bwd on E_aa, and w_fwd_i + w_bwd_j
+    on E_za. Each tile is multiplied by its weights in place, _FOLD_ROWS
+    rows at a time, after its exp, and credits its rows and columns with
+    d-wide GEMMs against zn and an themselves. The positive pair's
+    similarity gets t * e^p_i * (1/d_fwd + 1/d_bwd) - 2t, taken without
+    cancellation as -t * (n_fwd / d_fwd + n_bwd / d_bwd).
     """
     _check_same_shape(zn, an, "ntxent_view")
     n, d = zn.shape
@@ -400,18 +413,21 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
         xt[:, d] = -ct
         return xt, x1           # [t*x, -t] and [x, 1]
 
-    zt, z1 = gemm_operands(z)
-    at, a1 = gemm_operands(a)
-
-    def walk(xz, xa, diag=None):
+    def walk(xz, xa, diag=None, w_fwd=None, w_bwd=None):
+        zt, z1 = gemm_operands(z)
+        at, a1 = gemm_operands(a)
         buf = np.empty(min(n, _ROW_BLOCK) * n, dtype=dt)
         pz = np.zeros_like(xz)
         pa = np.zeros_like(xa)
-        for left, right, x, p in ((zt, z1, xz, pz), (at, a1, xa, pa)):
+        for left, right, x, w, p in ((zt, z1, xz, w_fwd, pz), (at, a1, xa, w_bwd, pa)):
             for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
+                if w is not None:
+                    _fold(tile, w[lo:hi], w[lo:])
                 p[lo:hi] += tile @ x[lo:]
                 p[hi:] += tile[:, hi - lo:].T @ x[lo:hi]
         for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=diag):
+            if w_fwd is not None:
+                _fold(tile, w_fwd[lo:hi], w_bwd)
             pz[lo:hi] += tile @ xa
             pa += tile.T @ xz[lo:hi]
         return pz, pa
@@ -430,13 +446,13 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
 
     def backward(g):
         c = dt.type(g[0, 0])
-        w_fwd = (c * t / d_fwd).astype(dt)[:, None]
-        w_bwd = (c * t / d_bwd).astype(dt)[:, None]
-        pz, pa = walk(np.hstack([z, w_fwd * z]), np.hstack([a, w_bwd * a]))
+        pz, pa = walk(z, a, w_fwd=(c * t / d_fwd).astype(dt),
+                      w_bwd=(c * t / d_bwd).astype(dt))
         # the positive pair: t * e^p * (1/d_fwd + 1/d_bwd) - 2t, per unit c
         pull = (c * t * (n_fwd / d_fwd + n_bwd / d_bwd)).astype(dt)[:, None]
-        return (w_fwd * pz[:, :d] + pz[:, d:] - pull * a,
-                w_bwd * pa[:, :d] + pa[:, d:] - pull * z)
+        pz -= pull * a
+        pa -= pull * z
+        return pz, pa
 
     return _result(np.array([[total]], dtype=dt), (zn, an), backward)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,20 @@ def random_graph(rng, n=20, f=12, p_edge=0.2, n_classes=3, labeled=True,
              else (rng.random((n, f)) < word_rate).astype(np.float64))
     labels = rng.integers(0, n_classes, size=n) if labeled else None
     return build_graph(n, edges, feats, labels, n_classes=n_classes)
+
+
+def traced_memory(fn):
+    """(held, peak): the bytes fn() allocates and still holds when it returns,
+    its result alive, and the most it held at once, both as traced by
+    tracemalloc from the call on."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held, peak
 
 
 def write_dataset(d: Path, n_nodes, edges, features, labels=None,

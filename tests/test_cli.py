@@ -423,8 +423,10 @@ def test_output_file_that_is_a_directory_exits_2(tmp_path, dataset, command, nam
             "eval": lambda: ["--checkpoint", str(train_checkpoint(tmp_path, dataset)),
                              "--dataset", str(dataset)],
             "analyze": lambda: ["--dataset", str(dataset)]}[command]()
-    # train finds a taken output name before it trains, and so loses no model
-    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+    # each command finds a taken output name before it does its work: train
+    # loses no model, eval runs no probe and analyze no similarity pass
+    for work in ("train", "linear_probe", "neighborhood_similarity"):
+        monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail("did the work"))
     out = tmp_path / "written"
     (out / name).mkdir(parents=True)
     capsys.readouterr()

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +423,16 @@ class TestClusteringAccuracy:
         pred = np.zeros(100, dtype=int)
         majority = np.bincount(truth).max() / 100
         assert clustering_accuracy(pred, truth) >= majority - 1e-12
+
+    def test_only_clustering_loads_scipy_optimize(self):
+        # the Hungarian step's import adds about 27 MB to a process, so
+        # importing the library and the CLI must not load it
+        src = Path(clustering_accuracy.__code__.co_filename).parents[1]
+        code = ("import sys, nodefuse, nodefuse.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout == "False\n", proc.stderr
 
 
 class TestAgreementMetrics:

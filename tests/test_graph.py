@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +13,7 @@ from nodefuse.errors import ContractError, FormatError, LoadError
 from nodefuse.graph import (_SPARSE_BELOW, _largest_remainder_sizes, features_as,
                             normalized_adjacency_sparse)
 
-from conftest import MALFORMED, random_graph, write_dataset
+from conftest import MALFORMED, random_graph, traced_memory, write_dataset
 
 
 class TestLoadGraph:
@@ -246,14 +245,8 @@ class TestFeatureStorage:
         rng = np.random.default_rng(2)
         d = write_dataset(tmp_path / "bow", n, [(0, 1), (1, 2)],
                           (rng.random((n, f)) < 0.02).astype(np.float64))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            g = load_graph(d)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert g.n_features == f
+        held, _ = traced_memory(lambda: load_graph(d))
+        assert load_graph(d).n_features == f
         assert held < n * f * 8 / 4
 
     @pytest.mark.parametrize("word_rate", [None, 0.03], ids=["dense", "csr"])

@@ -1,6 +1,5 @@
 import inspect
 import itertools
-import tracemalloc
 import warnings
 import weakref
 
@@ -13,6 +12,8 @@ from hypothesis import strategies as st
 from nodefuse import AdamState, Tensor, adam_step, backward
 from nodefuse import tensor as T
 from nodefuse.errors import ContractError
+
+from conftest import traced_memory
 
 
 def rand_tensor(rng, shape, requires_grad=False):
@@ -530,13 +531,31 @@ class TestNtxentView:
         n = 3 * B
         rng = np.random.default_rng(33)
         z, a = unit_rows(rng, n, 8), unit_rows(rng, n, 8)
-        tracemalloc.start()
-        try:
-            ntxent_and_grads(z, a, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_memory(lambda: ntxent_and_grads(z, a, 0.5))
         assert peak < n * n * z.itemsize
+
+    def test_tape_keeps_no_gemm_operand(self):
+        # the tape holds zn, an and a few N-vectors; the walk's operands
+        # [t*x, -t] and [x, 1] (N x (d+1) each) are rebuilt by the backward
+        n, d = 2 * B + 3, 16
+        rng = np.random.default_rng(34)
+        zn = Tensor(unit_rows(rng, n, d), requires_grad=True)
+        an = Tensor(unit_rows(rng, n, d), requires_grad=True)
+        held, _ = traced_memory(lambda: T.ntxent_view(zn, an, 2.0))
+        assert held < n * (d + 1) * 8
+
+    def test_backward_credits_are_d_wide(self):
+        # beyond one (B, N) tile, the backward holds at most the four
+        # rebuilt operands, the two N x d credits and one N x d column
+        # credit, about 7 N x d; credits of [x, w x] operands, N x 2d each,
+        # would take it to 10 N x d
+        n, d = 2 * B + 3, 64
+        rng = np.random.default_rng(35)
+        zn = Tensor(unit_rows(rng, n, d), requires_grad=True)
+        an = Tensor(unit_rows(rng, n, d), requires_grad=True)
+        loss = T.ntxent_view(zn, an, 2.0)
+        _, peak = traced_memory(lambda: backward(loss))
+        assert peak < (B * n + 8.5 * n * d) * 8
 
 
 class TestAdam:

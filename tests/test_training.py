@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,7 +15,7 @@ from nodefuse.errors import ContractError, FormatError
 from nodefuse.losses import contrast_loss
 from nodefuse.model import EmbeddingSet, fuse
 
-from conftest import random_graph
+from conftest import random_graph, traced_memory
 
 SMALL = dict(dims=(6, 4, 3), epochs=3, patience=None)
 BAD_FIXED_LAMBDAS = [float("nan"), float("inf"), 1e308, -0.1, 1.5]
@@ -326,13 +325,8 @@ def test_contrast_step_keeps_no_copy_of_the_features():
         params = training.init_params(rng, training.ModelDims(g.n_features, *cfg.dims))
         x, adj = training._inputs(g, np.float64)
         aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
-        tracemalloc.start()
-        try:
-            training._contrast_step(g, cfg, params, T.AdamState(), x, adj,
-                                    aug_rng, drop_rng, epoch=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_memory(lambda: training._contrast_step(
+            g, cfg, params, T.AdamState(), x, adj, aug_rng, drop_rng, epoch=1))
         assert peak < g.n_nodes * g.n_features * 8 / 2
 
 
