@@ -10,6 +10,7 @@ Canonical dataset directory layout:
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,9 +83,15 @@ class Split:
 def build_graph(n_nodes: int, edge_list, features, labels=None,
                 n_classes=None, name: str = "") -> Graph:
     """Dedup edges, drop self-loops; check edge ranges, that edges and labels
-    are integers, and that features have a column and finite row squared
-    norms."""
-    features = np.asarray(features, dtype=np.float64)
+    are integers, that `n_nodes` is a count and `n_classes` None or one, and
+    that features are numbers, have a column and finite row squared norms."""
+    _check_count("n_nodes", n_nodes)
+    if n_classes is not None:
+        _check_count("n_classes", n_classes)
+    try:
+        features = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:      # not numbers, or ragged rows
+        raise FormatError(f"features must be numbers: {exc}") from exc
     if features.ndim != 2 or features.shape[0] != n_nodes or not features.shape[1]:
         raise FormatError(f"features must be {n_nodes} rows of at least one "
                           f"column, got shape {features.shape}")
@@ -120,9 +127,21 @@ def build_graph(n_nodes: int, edge_list, features, labels=None,
                  n_dropped_lines=len(raw) - len(edges))
 
 
+def _check_count(what: str, value):
+    """A FormatError unless `value` is an integer >= 0; a bool is not one."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0):
+        raise FormatError(f"{what} must be an integer >= 0, got {value!r}")
+
+
 def _integers(what: str, values) -> np.ndarray:
     """`values` as int64; a value that is not a finite integer is a FormatError."""
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:       # a ragged sequence
+        raise FormatError(f"{what} must be integers: {exc}") from exc
+    if a.dtype.kind not in "biuf":
+        raise FormatError(f"{what} must be integers, got dtype {a.dtype}")
     bad = non_integers(a)
     if bad.any():
         raise FormatError(f"{what} must be integers, got {a[bad][0]}")
@@ -209,16 +228,16 @@ def load_graph(dataset_dir) -> Graph:
             raise LoadError(f"missing required file: {p}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        n, n_features, n_classes = (int(meta[k]) for k in _META_KEYS)
+        n, n_features, n_classes = (meta[k] for k in _META_KEYS)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{meta_path} is not UTF-8 text: {exc}") from exc
     except KeyError as exc:
         raise FormatError(f"{meta_path} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: {', '.join(_META_KEYS)} "
-                          f"must be integers ({exc})") from exc
+    except TypeError as exc:
+        raise FormatError(f"{meta_path} does not hold a JSON object ({exc})") from exc
+    _check_count(f"{meta_path}: n_features", n_features)    # build_graph checks the others
 
     # comments=None keeps a '#' line a format error, like any other token;
     # build_graph rejects a column count other than 2.

@@ -118,10 +118,6 @@ def controller_loss(lam: Tensor, h_s: Tensor, h_c: Tensor,
     only lambda (and through it the controller parameters) receives gradient.
     """
     sims = T.cosine_rows(h_s.detach(), h_c.detach())
-    if sims.shape != lam.shape:
-        raise ContractError(
-            f"lambda shape {lam.shape} does not match {sims.shape} similarities"
-        )
     total = T.sum_all(T.mul(lam, sims))
     if cfg.alpha1 != 0.0:
         norm = T.sqrt(T.sum_all(T.mul(lam, lam)))

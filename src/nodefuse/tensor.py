@@ -46,20 +46,18 @@ class Node:
 
 
 class Tensor:
-    """A 2-D matrix; one that takes a gradient has a tape `node`."""
+    """A 2-D float32 or float64 matrix; one that takes a gradient has a tape `node`."""
 
     __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ContractError(f"Tensor: expected a 2-D array, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
+        try:
+            arr = np.asarray(data)
+        except ValueError as exc:       # a ragged sequence
+            raise ContractError(f"Tensor: {exc}") from exc
+        if arr.ndim != 2 or arr.dtype not in (np.float32, np.float64):
+            raise ContractError(f"Tensor: expected a 2-D float32 or float64 array, "
+                                f"got shape {arr.shape} and dtype {arr.dtype}")
         self.data = arr
         self.node = Node() if requires_grad else None
 
@@ -178,13 +176,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "mul")
-    sa, sb = a.shape, b.shape
+    _check_same_shape(a, b, "mul")
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
     return _result(a.data * b.data, (a, b), lambda g: (
-        None if bd is None else _unbroadcast(g * bd, sa),
-        None if ad is None else _unbroadcast(g * ad, sb)))
+        None if bd is None else g * bd, None if ad is None else g * ad))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -318,7 +314,6 @@ def normalize_rows(a: Tensor) -> Tensor:
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise cosine similarity as Nx1; zero-norm rows give similarity 0."""
-    _check_same_shape(a, b, "cosine_rows")
     return sum_rows(mul(normalize_rows(a), normalize_rows(b)))
 
 

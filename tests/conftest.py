@@ -70,6 +70,17 @@ def _drop_meta_key(key):
         {k: v for k, v in json.loads(t).items() if k != key}))
 
 
+def _set_meta(key, make, unlabeled=False):
+    """meta.json's `key` set to make(its value); with `unlabeled`, no labels.txt."""
+    def apply(d: Path):
+        meta = json.loads((d / "meta.json").read_text())
+        meta[key] = make(meta[key])
+        (d / "meta.json").write_text(json.dumps(meta))
+        if unlabeled:
+            (d / "labels.txt").unlink()
+    return apply
+
+
 def _huge_feature(t: str) -> str:
     # finite in float64, but the squared norm of its row is not
     return "1e300" + t[t.index(","):]
@@ -95,6 +106,12 @@ MALFORMED = {
     "meta_missing_n_nodes": _drop_meta_key("n_nodes"),
     "meta_missing_n_features": _drop_meta_key("n_features"),
     "meta_missing_n_classes": _drop_meta_key("n_classes"),
+    # counts that int() would truncate or convert: each must be a JSON integer >= 0
+    "meta_n_nodes_fractional": _set_meta("n_nodes", lambda v: v + 0.9),
+    "meta_n_features_fractional": _set_meta("n_features", lambda v: v + 0.5),
+    "meta_n_classes_string": _set_meta("n_classes", str),
+    "meta_n_classes_bool": _set_meta("n_classes", lambda v: True),
+    "meta_n_classes_negative_unlabeled": _set_meta("n_classes", lambda v: -1, unlabeled=True),
 }
 
 

@@ -5,6 +5,8 @@ Criteria 5, 6 (benchmark part), and 7 need the real datasets under data/;
 they skip with an explanatory message when those are not present.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -270,10 +272,16 @@ def test_criterion_8_efficiency():
     g = build_graph(n, pairs, rng.normal(size=(n, f)).astype(np.float32))
     cfg = TrainConfig(dims=(256, 64, 30), epochs=5, patience=None,
                       precision="float32")
+    # reported when the bound fails: a busy host stretches the wall time but
+    # not the process CPU time (all threads, so about the BLAS thread count
+    # times the wall time on an idle host); a slow program raises both
+    wall, cpu = time.perf_counter(), time.process_time()
     report = train(g, cfg)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     # median over epochs; the first epoch pays one-off allocation costs
     per_epoch = sorted(r.seconds for r in report.records)[len(report.records) // 2]
-    assert per_epoch <= 5.0, f"median epoch took {per_epoch:.2f}s"
+    assert per_epoch <= 5.0, (f"median epoch took {per_epoch:.2f}s; train took "
+                              f"{wall:.2f}s wall, {cpu:.2f}s process CPU")
 
 
 def test_criterion_9_determinism(tmp_path):

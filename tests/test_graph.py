@@ -192,11 +192,35 @@ class TestBuildGraph:
 
 
     @pytest.mark.parametrize("edges", [[[0.5, 1.7]], [[0, 1], [1, np.nan]],
-                                       [[0, np.inf]]], ids=["fractional", "nan", "inf"])
+                                       [[0, np.inf]], [["a", "b"]], [[0, 1], [2]],
+                                       [[0, None]]],
+                             ids=["fractional", "nan", "inf", "string", "ragged", "none"])
     def test_non_integral_edge_endpoints_rejected(self, edges):
         # cast to int64, [[0.5, 1.7]] was the edge (0, 1)
-        with pytest.raises(FormatError, match="edge endpoints must be integers"):
-            build_graph(3, edges, np.zeros((3, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="edge endpoints must be integers"):
+                build_graph(3, edges, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"features": "abc"}, "features must be numbers"),
+        ({"features": [[0.0], [0.0, 1.0], [0.0]]}, "features must be numbers"),
+        ({"features": {}}, "features must be numbers"),
+        ({"labels": ["a", "b", "a"]}, "labels must be integers"),
+        ({"labels": [0, 1, 1], "n_classes": "2"}, "n_classes must be an integer"),
+        ({"n_classes": -3}, "n_classes must be an integer"),
+        ({"n_classes": 2.5}, "n_classes must be an integer"),
+        ({"n_classes": True}, "n_classes must be an integer"),
+        ({"n_nodes": 3.0}, "n_nodes must be an integer"),
+    ], ids=["features-string", "features-ragged", "features-dict", "labels-string",
+            "n_classes-string", "n_classes-negative", "n_classes-fractional",
+            "n_classes-bool", "n_nodes-float"])
+    def test_argument_that_is_not_numbers_rejected(self, kwargs, message):
+        args = {"n_nodes": 3, "features": np.zeros((3, 1)), **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=message):
+                build_graph(edge_list=[(0, 1)], **args)
 
     def test_non_integral_labels_rejected(self):
         # cast to int64, 0.5 was class 0

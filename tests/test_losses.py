@@ -10,6 +10,7 @@ from nodefuse import (ContrastConfig, ControllerConfig, EmbeddingSet,
                       ntxent_pair_loss, project, view_loss)
 from nodefuse import tensor as T
 from nodefuse.errors import ContractError
+from nodefuse.model import first_layer_product
 
 
 def oracle_cos(a, b):
@@ -293,8 +294,15 @@ def _sizes(*sizes):
     (lambda p: project(p, _zeros(7, 9)), _sizes(6, 9)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(5, 6), np.ones(7)), _sizes(7, 5)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 9), np.ones(7)), _sizes(6, 9)),
+    (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 6), np.ones(5)), _sizes(5, 7)),
+    (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 6), 3.0), _sizes(1, 7)),
+    (lambda p: controller_loss(_zeros(1, 1), _zeros(7, 6), _zeros(7, 6), ControllerConfig()),
+     _sizes(1, 7)),
+    (lambda p: first_layer_product(p, _zeros(7, 7)), _sizes(7, 8)),
 ], ids=["fuse-rows", "fuse-cols", "view_loss-one-row", "view_loss-shapes",
-        "project-width", "controller_lambda-rows", "controller_lambda-cols"])
+        "project-width", "controller_lambda-rows", "controller_lambda-cols",
+        "controller_lambda-short-degree", "controller_lambda-scalar-degree",
+        "controller_loss-lambda", "first_layer_product-width"])
 def test_shape_fault_is_a_contract_error_naming_the_sizes(call, fragments):
     params = init_params(np.random.default_rng(0),
                          ModelDims(f_in=8, f_embed=6, f_proj=4, f_filter=3))

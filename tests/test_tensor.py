@@ -20,6 +20,19 @@ def rand_tensor(rng, shape, requires_grad=False):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
 
 
+@pytest.mark.parametrize("data", [
+    "abc", None, {}, [[1.0], [1.0, 2.0]], np.array(1.0), np.ones(3), np.ones((2, 2, 2)),
+    np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool),
+    np.ones((2, 2), dtype=object), np.ones((2, 2), dtype=np.float16),
+], ids=["str", "none", "dict", "ragged", "0-d", "1-d", "3-d", "int", "bool", "object",
+        "float16"])
+def test_tensor_takes_only_2d_float_arrays(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="Tensor"):
+            Tensor(data)
+
+
 class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -655,7 +668,7 @@ PROTOCOL_OPS = {
     "matmul": ([(6, 4), (4, 3)], T.matmul),
     "spmm": ([(6, 4)], lambda x: T.spmm(_ring(6, x.data.dtype), x)),
     "add": ([(6, 4), (1, 4)], T.add),
-    "mul": ([(1, 4), (6, 4)], T.mul),
+    "mul": ([(6, 4), (6, 4)], T.mul),
     "scale": ([(6, 4)], lambda a: T.scale(a, -1.5)),
     "add_scalar": ([(6, 4)], lambda a: T.add_scalar(a, 2.0)),
     "relu": ([(6, 4)], T.relu),
