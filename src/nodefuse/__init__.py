@@ -13,10 +13,9 @@ from .graph import (Graph, Split, build_graph, load_graph, make_splits,
                     neighborhood_similarity, write_graph)
 from .losses import (ContrastConfig, ControllerConfig, contrast_loss,
                      controller_loss, ntxent_pair_loss, view_loss)
-from .model import (EmbeddingSet, FusionWeights, ModelDims, ModelParams,
-                    controller_lambda, encode_contextual, encode_semantic,
-                    fuse, init_params, load_checkpoint, project,
-                    save_checkpoint)
+from .model import (FusionWeights, ModelDims, ModelParams, controller_lambda,
+                    encode_contextual, encode_semantic, fuse, init_params,
+                    load_checkpoint, project, save_checkpoint)
 from .tensor import AdamState, Tensor, adam_step, backward
 from .training import TrainConfig, TrainReport, embed, train
 
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AugmentConfig", "ClassificationResult", "ClusteringResult",
-    "ContrastConfig", "ControllerConfig", "EmbeddingSet", "FusionWeights",
+    "ContrastConfig", "ControllerConfig", "FusionWeights",
     "Graph", "ModelDims", "ModelParams", "Split", "TrainConfig", "TrainReport",
     "Tensor", "adam_step", "ari", "backward", "build_graph",
     "clustering_accuracy", "contrast_loss", "controller_lambda",

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, check_range
+from .errors import check_range, number_array
 from .graph import Graph
 
 
@@ -27,11 +27,8 @@ def mask_features(x, p_s: float, rng: np.random.Generator):
     every row, so all nodes lose the same columns within a draw.
     """
     check_range("p_s", p_s, 0, 1)
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ContractError(f"mask_features takes a 2-D feature array, got shape {x.shape}")
-    mask = (rng.random(x.shape[1]) >= p_s).astype(x.dtype)
-    return x * mask
+    x = number_array("mask_features: x", x, 2)
+    return np.where(rng.random(x.shape[1]) >= p_s, x, x.dtype.type(0))
 
 
 def drop_edges(g: Graph, p_c: float, rng: np.random.Generator) -> Graph:

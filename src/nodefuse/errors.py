@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its one range check and its
-one test for integer values."""
+"""Exception types shared across the package, its one range check, its one
+check for arrays of numbers and its one test for integer values."""
 
 import numbers
 
@@ -14,7 +14,9 @@ class ContractError(NodefuseError):
     """A caller-facing precondition was violated, a shape or a value range
     among them; `field`, when set, names the argument at fault."""
 
-    field: str | None = None
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class CheckpointError(ContractError):
@@ -54,15 +56,26 @@ def check_range(name: str, value, lo, hi, *, integer: bool = False,
             and (value < hi if hi_open else value <= hi)):
         return
     interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
-    error = ContractError(f"{name} must be {'an integer' if integer else 'a number'} "
-                          f"in {interval}, got {value!r}")
-    error.field = name
-    raise error
+    raise ContractError(f"{name} must be {'an integer' if integer else 'a number'} "
+                        f"in {interval}, got {value!r}", field=name)
+
+
+def number_array(name: str, value, ndim: int) -> np.ndarray:
+    """`value` as an `ndim`-D array of bools, integers or floats, else a
+    ContractError naming `name`, the array's shape and its dtype."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:       # a ragged sequence
+        raise ContractError(f"{name}: {exc}") from exc
+    if a.ndim != ndim or a.dtype.kind not in "biuf":
+        raise ContractError(f"{name} must be a {ndim}-D array of numbers, got shape "
+                            f"{a.shape} and dtype {a.dtype}")
+    return a
 
 
 def non_integers(a: np.ndarray) -> np.ndarray:
-    """The mask of the entries of `a` that are not finite integer values;
-    only a float array can hold any. Each caller raises its own error."""
+    """The mask of the entries of `a` that are not integer values an int64
+    holds; only a float array can hold any. Each caller raises its own error."""
     if a.dtype.kind != "f":
         return np.zeros(a.shape, dtype=bool)
-    return ~(np.isfinite(a) & (a == np.trunc(a)))
+    return ~((a == np.trunc(a)) & (np.abs(a) < 2.0 ** 63))

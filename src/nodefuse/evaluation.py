@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_range, non_integers
+from .errors import ContractError, check_range, non_integers, number_array
 from .graph import Split
 from .tensor import AdamState, Tensor, adam_step
 
@@ -36,11 +36,12 @@ class ClusteringResult:
 
 
 def _as_array(x) -> np.ndarray:
-    """Embeddings (a Tensor or an array) as an array; they must be 2-D and finite."""
-    a = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not (a.ndim == 2 and a.dtype.kind in "biuf" and np.isfinite(a).all()):
-        raise ContractError("embeddings must be a finite 2-D array, "
-                            f"got shape {a.shape}, dtype {a.dtype}")
+    """Embeddings (a Tensor or an array) as an array; they must be 2-D, and
+    each row's squared norm finite, as standardizing and k-means square them."""
+    a = x.data if isinstance(x, Tensor) else number_array("embeddings", x, 2)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.einsum("ij,ij->i", a, a)).all():
+            raise ContractError("embeddings must have finite squared row norms")
     return a
 
 
@@ -81,6 +82,11 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     y_train = np.full((n_splits, len(y)), -1)   # a split's labels, -1 off its rows
     y_val = y_train.copy()
     for i, split in enumerate(splits):
+        for part in ("train", "val", "test"):
+            rows = number_array(f"split {part}", getattr(split, part), 1)
+            if rows.dtype.kind not in "iu" or ((rows < 0) | (rows >= len(y))).any():
+                raise ContractError(f"split {part} must hold row indices in [0, {len(y)}), "
+                                    f"got dtype {rows.dtype}")
         if len(np.unique(y[split.train])) < 2:
             raise ContractError("linear probe train set contains a single class")
         y_train[i, split.train] = y[split.train]
@@ -221,8 +227,8 @@ def kmeans(embeddings, k: int, seed: int, restarts: int = 10) -> np.ndarray:
 
 def _labeling(y) -> np.ndarray:
     """`y` as int64 labels: a non-empty 1-D array of integer values >= 0."""
-    y = np.asarray(y)
-    if not (y.ndim == 1 and y.size and y.dtype.kind in "iuf"
+    y = number_array("a labeling", y, 1)
+    if not (y.size and y.dtype.kind in "iuf"
             and not non_integers(y).any() and (y >= 0).all()):
         raise ContractError("a labeling must be a non-empty 1-D array of integers "
                             f">= 0, got shape {y.shape}, dtype {y.dtype}")

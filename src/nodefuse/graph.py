@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (ContractError, FormatError, LoadError, SplitError, check_range,
-                     non_integers)
+                     non_integers, number_array)
 
 _META_KEYS = ("n_nodes", "n_features", "n_classes")
 # Features with a nonzero share below this are stored as CSR, denser ones
@@ -315,8 +315,9 @@ def make_splits(g: Graph, ratio, n_splits: int, seed: int) -> list[Split]:
     """Independent shuffled splits; every class must appear in train."""
     if g.labels is None:
         raise ContractError("make_splits requires a labeled graph")
-    if not (np.shape(ratio) == (3,) and all(r >= 0 for r in ratio)
-            and abs(sum(ratio) - 1.0) <= 1e-9):  # NaN fails
+    ratio = number_array("split ratio", ratio, 1)
+    if not (ratio.shape == (3,) and (ratio >= 0).all()
+            and abs(ratio.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ContractError("split ratio must be three nonnegative fractions "
                             f"that sum to 1, got {ratio}")
     check_range("n_splits", n_splits, 1, np.inf, integer=True)

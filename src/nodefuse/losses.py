@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_range
-from .model import EmbeddingSet, ModelParams, project
+from .errors import ContractError, check_range, number_array
+from .model import ModelParams, project
 from . import tensor as T
 from .tensor import Tensor
 
@@ -18,9 +18,12 @@ class ContrastConfig:
     tau: float = 0.5
     beta1: float = 1.0   # weight of the contextual term; 0 skips the term
     beta2: float = 1.0   # weight of the fusion term; 0 skips the term
-    include_semantic: bool = True   # False skips the semantic term
+    include_semantic: bool = True   # the semantic term's weight: 1 if True, else 0
 
     def __post_init__(self):
+        if not isinstance(self.include_semantic, (bool, np.bool_)):
+            raise ContractError(f"include_semantic must be a bool, got "
+                                f"{self.include_semantic!r}", field="include_semantic")
         check_range("tau", self.tau, 0, math.inf, lo_open=True)
         check_range("beta1", self.beta1, 0, math.inf)
         check_range("beta2", self.beta2, 0, math.inf)
@@ -40,8 +43,11 @@ class ControllerConfig:
         check_range("epsilon", self.epsilon, 0, 1, hi_open=False)
 
 
-def _as_array(z) -> np.ndarray:
-    return z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
+def _as_array(name: str, z) -> np.ndarray:
+    """A Tensor's data, else `z` as a 2-D float64 array."""
+    if isinstance(z, Tensor):
+        return z.data
+    return number_array(name, z, 2).astype(np.float64, copy=False)
 
 
 def _cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,6 +58,7 @@ def _cos(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+@np.errstate(all="ignore")      # a non-finite or overflowing input gives NaN
 def ntxent_pair_loss(z, z_aug, i: int, tau: float) -> float:
     """Pairwise loss for anchor row i of `z` against its augmented positive.
 
@@ -59,10 +66,8 @@ def ntxent_pair_loss(z, z_aug, i: int, tau: float) -> float:
     intra-view rows except the anchor itself, and every cross-view row
     (including the positive). Computed with a max-shift for stability.
     """
-    z = _as_array(z)
-    z_aug = _as_array(z_aug)
-    if z.ndim != 2:
-        raise ContractError(f"ntxent_pair_loss takes 2-D embeddings, got shape {z.shape}")
+    z = _as_array("ntxent_pair_loss: z", z)
+    z_aug = _as_array("ntxent_pair_loss: z_aug", z_aug)
     n = z.shape[0]
     if n < 2:
         raise ContractError("ntxent_pair_loss needs at least 2 nodes")
@@ -95,14 +100,14 @@ def view_loss(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
     return T.scale(total, 1.0 / (2.0 * z.rows))
 
 
-def contrast_loss(emb: EmbeddingSet, params: ModelParams, cfg: ContrastConfig) -> Tensor:
-    """Weighted sum of the semantic, contextual, and fusion view losses; a
-    term whose weight is zero is skipped, never built."""
+def contrast_loss(pairs, params: ModelParams, cfg: ContrastConfig) -> Tensor:
+    """Weighted sum of the view losses of the semantic, contextual and fusion
+    (clean, perturbed) encoding `pairs`, weighted 1 (0 without
+    `include_semantic`), `beta1` and `beta2`; a zero weight skips its term."""
+    if len(pairs) != 3:
+        raise ContractError(f"contrast_loss takes 3 encoding pairs, got {len(pairs)}")
     total = None
-    if cfg.include_semantic:
-        total = view_loss(project(params, emb.h_s), project(params, emb.h_s_aug), cfg.tau)
-    for weight, z, z_aug in ((cfg.beta1, emb.h_c, emb.h_c_aug),
-                             (cfg.beta2, emb.h_f, emb.h_f_aug)):
+    for weight, (z, z_aug) in zip((float(cfg.include_semantic), cfg.beta1, cfg.beta2), pairs):
         if weight:
             term = T.scale(view_loss(project(params, z), project(params, z_aug),
                                      cfg.tau), weight)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CheckpointError, ContractError
+from .errors import CheckpointError, ContractError, check_range, number_array
 from . import tensor as T
 from .tensor import Tensor
 
@@ -67,18 +67,6 @@ class ModelParams:
 
 
 @dataclass
-class EmbeddingSet:
-    """The six representation matrices: clean and perturbed, per view."""
-
-    h_s: Tensor
-    h_s_aug: Tensor
-    h_c: Tensor
-    h_c_aug: Tensor
-    h_f: Tensor
-    h_f_aug: Tensor
-
-
-@dataclass
 class FusionWeights:
     """Per-node fusion weight in (0, 1), kept on the tape for the controller."""
 
@@ -101,7 +89,10 @@ def param_shapes(dims: ModelDims) -> dict[str, tuple[int, int]]:
 
 
 def init_params(rng: np.random.Generator, dims: ModelDims) -> ModelParams:
-    """Glorot-uniform weights, drawn in `param_shapes` order, and zero biases."""
+    """Glorot-uniform weights, drawn in `param_shapes` order, and zero biases;
+    each width of `dims` must be an integer >= 1."""
+    for f in fields(ModelDims):
+        check_range(f.name, getattr(dims, f.name), 1, np.inf, integer=True)
     def draw(name, fan_in, fan_out):
         if "_b" in name:
             return np.zeros((fan_in, fan_out))
@@ -184,7 +175,7 @@ def controller_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor,
     The view embeddings and the degree are treated as constants: gradients
     reach only the controller parameters.
     """
-    degree = np.asarray(degree, dtype=np.float64)
+    degree = number_array(f"degree, one per row of h_s ({h_s.rows}),", degree, 1)
     if not np.all((degree >= 0) & (degree < np.inf)):    # NaN fails both
         raise ContractError("degree must be finite and non-negative")
     hs = h_s.detach()

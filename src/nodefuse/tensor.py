@@ -18,6 +18,11 @@ returns its vector-Jacobian products, one entry per parent in ``_parents``
 order, each an array shaped like that parent, or None where the op skips a
 constant parent. ``backward`` alone sums the entries into the parents and
 writes leaf gradients to ``.grad``.
+
+No op warns. Those whose numpy calls could (``@_quiet``), ``backward`` and
+``adam_step`` run with numpy's floating-point warnings off: a non-finite or
+overflowing value gives NaN or an infinity in the output, never a warning,
+and ``train`` finds it in the loss.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import ContractError, check_range
 
 _NORM_EPS = 1e-12
 _ADAM_SLICE = 2 ** 15     # elements per adam_step slice: 256 KB of float64
+_quiet = np.errstate(all="ignore")
 
 
 class Node:
@@ -145,6 +151,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.sum(axis=0, keepdims=True)
 
 
+@_quiet
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ContractError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
@@ -168,6 +175,7 @@ def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
     return _result(adj @ x.data, (x,), lambda g: (adj.T @ g,))
 
 
+@_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     sa, sb = a.shape, b.shape
@@ -175,6 +183,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
+@_quiet
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad = a.data if b.requires_grad else None
@@ -183,6 +192,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         None if bd is None else g * bd, None if ad is None else g * ad))
 
 
+@_quiet
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _result(c * a.data, (a,), lambda g: (c * g,))
@@ -193,6 +203,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data + c, (a,), lambda g: (g,))
 
 
+@_quiet
 def relu(a: Tensor, keep: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
     """max(a, 0); with a boolean `keep` mask (dropout after the relu), the
     kept entries times `scale` and the others 0, in the same node, so the
@@ -217,9 +228,9 @@ def relu(a: Tensor, keep: np.ndarray | None = None, scale: float = 1.0) -> Tenso
     return _result(out, (a,), backward)
 
 
+@_quiet
 def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):    # exp(-a) = inf gives the limit 1/(1+inf) = 0
-        out = 1.0 / (1.0 + np.exp(-a.data))
+    out = 1.0 / (1.0 + np.exp(-a.data))     # exp(-a) = inf gives the limit 0
     return _result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -235,18 +246,21 @@ def absolute(a: Tensor) -> Tensor:
     return _result(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
+@_quiet
 def sum_all(a: Tensor) -> Tensor:
     shape, dt = a.shape, a.data.dtype
     return _result(np.array([[a.data.sum()]], dtype=dt), (a,),
                    lambda g: (np.full(shape, g[0, 0], dtype=dt),))
 
 
+@_quiet
 def mean_all(a: Tensor) -> Tensor:
     shape, dt, n = a.shape, a.data.dtype, a.data.size
     return _result(np.array([[a.data.mean()]], dtype=dt), (a,),
                    lambda g: (np.full(shape, g[0, 0] / n, dtype=dt),))
 
 
+@_quiet
 def sum_rows(a: Tensor) -> Tensor:
     """Row sums as an Nx1 column."""
     shape = a.shape
@@ -268,6 +282,7 @@ def concat_cols(tensors) -> Tensor:
                    lambda g: [g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
+@_quiet
 def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
     """Scale row i of `a` by the scalar v[i]; v is Nx1. With `base`, the
     node is base + v * a, so the scaled rows are not kept."""
@@ -293,6 +308,7 @@ def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
     return _result(out, (a, v, base) if with_base else (a, v), backward)
 
 
+@_quiet
 def normalize_rows(a: Tensor) -> Tensor:
     """L2-normalize each row; rows with norm < 1e-12 become (and stay) zero.
 
@@ -303,7 +319,7 @@ def normalize_rows(a: Tensor) -> Tensor:
     norms = np.ldexp(np.linalg.norm(np.ldexp(a.data, -e), axis=1, keepdims=True), e)
     ok = norms >= _NORM_EPS
     inv = np.where(ok, 1.0 / np.where(ok, norms, 1.0), 0.0)
-    out = a.data * inv
+    out = a.data * inv      # an infinite entry's row has inv 0, and inf * 0 is NaN
 
     def backward(g):
         dot = (out * g).sum(axis=1, keepdims=True)
@@ -354,6 +370,7 @@ def _fold(tile, w_rows, w_cols):
         tile[r:r + _FOLD_ROWS] *= np.add.outer(w_rows[r:r + _FOLD_ROWS], w_cols)
 
 
+@_quiet
 def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     """Sum of the 2N symmetrized NT-Xent anchor losses for unit-row inputs.
 
@@ -433,10 +450,9 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     d_fwd = n_fwd + e_pos
     d_bwd = n_bwd + e_pos
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = np.isfinite(ct / np.minimum(d_fwd, d_bwd)).all()
-        anchors = [np.where(neg < e_pos, np.log1p(neg / e_pos), np.log(den) - pos)
-                   for neg, den in ((n_fwd, d_fwd), (n_bwd, d_bwd))]
+    finite = np.isfinite(ct / np.minimum(d_fwd, d_bwd)).all()
+    anchors = [np.where(neg < e_pos, np.log1p(neg / e_pos), np.log(den) - pos)
+               for neg, den in ((n_fwd, d_fwd), (n_bwd, d_bwd))]
     total = float((anchors[0] + anchors[1]).sum()) if finite else np.nan
 
     def backward(g):
@@ -456,6 +472,7 @@ def _walked(g):
     raise ContractError("backward: this tape was already walked; build the loss again")
 
 
+@_quiet
 def backward(loss: Tensor):
     """Accumulate into .grad of every requires_grad leaf the gradient of the
     1x1 `loss`, in one reverse topological pass that consumes the tape.
@@ -504,6 +521,7 @@ class AdamState:
     step: int = 0
 
 
+@_quiet
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     """In-place Adam update with bias correction over name-keyed arrays.
 

@@ -14,9 +14,8 @@ from .errors import ContractError, TrainingDiverged, check_range
 from .graph import Graph, features_as, normalized_adjacency_sparse
 from .losses import (ContrastConfig, ControllerConfig, contrast_loss,
                      controller_loss)
-from .model import (EmbeddingSet, ModelDims, ModelParams, controller_lambda,
-                    encode_contextual, encode_semantic, first_layer_product,
-                    fuse, init_params)
+from .model import (ModelDims, ModelParams, controller_lambda, encode_contextual,
+                    encode_semantic, first_layer_product, fuse, init_params)
 from . import tensor as T
 from .tensor import AdamState, Tensor, adam_step
 
@@ -152,13 +151,12 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
     del xw
     h_s, h_s_aug, h_c, h_c_aug = encoded
     lam = _fusion_lambda(params, h_s, h_c, g.degree, cfg.fixed_lambda)
-    emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
-                       h_f=fuse(h_s, h_c, lam),
-                       h_f_aug=fuse(h_s_aug, h_c_aug, lam))
-    total = contrast_loss(emb, params, cfg.contrast)
+    total = contrast_loss(((h_s, h_s_aug), (h_c, h_c_aug),
+                           (fuse(h_s, h_c, lam), fuse(h_s_aug, h_c_aug, lam))),
+                          params, cfg.contrast)
     # backward frees each op's arrays as it walks past, unless a name here
     # still holds them
-    del encoded, h_s, h_s_aug, h_c, h_c_aug, emb
+    del encoded, h_s, h_s_aug, h_c, h_c_aug
     loss = total.item()
     if not np.isfinite(loss):   # each term is >= 0: the sum is finite iff each is
         raise TrainingDiverged(epoch, "contrast")

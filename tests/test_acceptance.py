@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
-                      EmbeddingSet, ModelDims, TrainConfig, Tensor, ari,
-                      backward, clustering_accuracy, contrast_loss,
-                      controller_lambda, controller_loss, drop_edges, embed,
-                      encode_contextual, encode_semantic, evaluate_clustering,
-                      fuse, init_params, kmeans, linear_probe, load_graph,
-                      make_splits, mask_features, nmi, ntxent_pair_loss, train,
-                      view_loss)
+                      ModelDims, TrainConfig, Tensor, ari, backward,
+                      clustering_accuracy, contrast_loss, controller_lambda,
+                      controller_loss, drop_edges, embed, encode_contextual,
+                      encode_semantic, evaluate_clustering, fuse, init_params,
+                      kmeans, linear_probe, load_graph, make_splits,
+                      mask_features, nmi, ntxent_pair_loss, train, view_loss)
 from nodefuse.cli import main
 from nodefuse.graph import normalized_adjacency_sparse
 from nodefuse.tensor import AdamState
@@ -76,9 +75,9 @@ def test_criterion_1_gradient_correctness():
             h_sa = encode_semantic(params, x_aug)
             h_c = encode_contextual(params, x, adj)
             h_ca = encode_contextual(params, x, adj_aug)
-            emb = EmbeddingSet(h_s, h_sa, h_c, h_ca,
-                               fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam))
-            return contrast_loss(emb, params, ccfg)
+            return contrast_loss(((h_s, h_sa), (h_c, h_ca),
+                                  (fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam))),
+                                 params, ccfg)
 
         worst_contrast = max(worst_contrast,
                              _fd_max_rel_err(params.contrast_params(), closs))
@@ -113,9 +112,9 @@ def test_criterion_2_loss_oracle_equivalence():
         params = init_params(rng, DIMS)
         mk = lambda: rng.normal(size=(n, 5))
         h = {k: mk() for k in ("s", "sa", "c", "ca", "f", "fa")}
-        emb = EmbeddingSet(*(Tensor(h[k]) for k in ("s", "sa", "c", "ca", "f", "fa")))
+        pairs = [(Tensor(h[k]), Tensor(h[k + "a"])) for k in ("s", "c", "f")]
         b1, b2 = float(rng.uniform(0, 2)), float(rng.uniform(0, 2))
-        got = contrast_loss(emb, params, ContrastConfig(tau=tau, beta1=b1, beta2=b2)).item()
+        got = contrast_loss(pairs, params, ContrastConfig(tau=tau, beta1=b1, beta2=b2)).item()
 
         def proj(a):
             hidden = np.maximum(a @ params.proj_w1.data + params.proj_b1.data, 0.0)

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nodefuse import (ContrastConfig, ControllerConfig, EmbeddingSet,
-                      ModelDims, Tensor, backward, contrast_loss,
-                      controller_lambda, controller_loss, fuse, init_params,
-                      ntxent_pair_loss, project, view_loss)
+from nodefuse import (ContrastConfig, ControllerConfig, ModelDims, Tensor,
+                      backward, contrast_loss, controller_lambda,
+                      controller_loss, fuse, init_params, ntxent_pair_loss,
+                      project, view_loss)
 from nodefuse import tensor as T
 from nodefuse.errors import ContractError
 from nodefuse.model import first_layer_product
@@ -133,47 +133,48 @@ class TestContrastLoss:
         mk = lambda: Tensor(rng.normal(size=(n, 5)))
         h_s, h_sa, h_c, h_ca = mk(), mk(), mk(), mk()
         lam = Tensor(rng.uniform(0.1, 0.9, size=(n, 1)))
-        emb = EmbeddingSet(h_s, h_sa, h_c, h_ca,
-                           fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam))
-        return params, emb
+        pairs = ((h_s, h_sa), (h_c, h_ca), (fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam)))
+        return params, pairs
 
     def test_beta_zero_equals_semantic_alone(self):
-        params, emb = self._setup(0)
+        params, pairs = self._setup(0)
         cfg = ContrastConfig(tau=0.5, beta1=0.0, beta2=0.0)
-        total = contrast_loss(emb, params, cfg).item()
-        ls = view_loss(project(params, emb.h_s), project(params, emb.h_s_aug),
-                       0.5).item()
-        assert abs(total - ls) < 1e-12
+        total = contrast_loss(pairs, params, cfg).item()
+        (h_s, h_s_aug), _, _ = pairs
+        ls = view_loss(project(params, h_s), project(params, h_s_aug), 0.5).item()
+        assert total == ls
 
     def test_equals_weighted_sum_of_views(self):
-        params, emb = self._setup(1)
+        params, pairs = self._setup(1)
         cfg = ContrastConfig(tau=0.7, beta1=0.3, beta2=2.0)
-        total = contrast_loss(emb, params, cfg).item()
-        ls = view_loss(project(params, emb.h_s), project(params, emb.h_s_aug), 0.7).item()
-        lc = view_loss(project(params, emb.h_c), project(params, emb.h_c_aug), 0.7).item()
-        lf = view_loss(project(params, emb.h_f), project(params, emb.h_f_aug), 0.7).item()
+        total = contrast_loss(pairs, params, cfg).item()
+        (h_s, h_s_aug), (h_c, h_c_aug), (h_f, h_f_aug) = pairs
+        ls = view_loss(project(params, h_s), project(params, h_s_aug), 0.7).item()
+        lc = view_loss(project(params, h_c), project(params, h_c_aug), 0.7).item()
+        lf = view_loss(project(params, h_f), project(params, h_f_aug), 0.7).item()
         assert abs(total - (ls + 0.3 * lc + 2.0 * lf)) < 1e-12
 
     def test_matches_full_scalar_oracle(self):
-        params, emb = self._setup(2)
+        params, pairs = self._setup(2)
         cfg = ContrastConfig(tau=0.5, beta1=0.4, beta2=1.1)
-        total = contrast_loss(emb, params, cfg).item()
+        total = contrast_loss(pairs, params, cfg).item()
+        (h_s, h_s_aug), (h_c, h_c_aug), (h_f, h_f_aug) = pairs
 
         def proj(h):
             w1, b1 = params.proj_w1.data, params.proj_b1.data
             w2, b2 = params.proj_w2.data, params.proj_b2.data
             return np.maximum(h @ w1 + b1, 0.0) @ w2 + b2
 
-        expect = (oracle_view(proj(emb.h_s.data), proj(emb.h_s_aug.data), 0.5)
-                  + 0.4 * oracle_view(proj(emb.h_c.data), proj(emb.h_c_aug.data), 0.5)
-                  + 1.1 * oracle_view(proj(emb.h_f.data), proj(emb.h_f_aug.data), 0.5))
+        expect = (oracle_view(proj(h_s.data), proj(h_s_aug.data), 0.5)
+                  + 0.4 * oracle_view(proj(h_c.data), proj(h_c_aug.data), 0.5)
+                  + 1.1 * oracle_view(proj(h_f.data), proj(h_f_aug.data), 0.5))
         assert abs(total - expect) < 1e-9
 
     def test_all_terms_disabled_rejected(self):
-        params, emb = self._setup(3)
+        params, pairs = self._setup(3)
         with pytest.raises(ContractError):
-            contrast_loss(emb, params, ContrastConfig(include_semantic=False,
-                                                      beta1=0.0, beta2=0.0))
+            contrast_loss(pairs, params, ContrastConfig(include_semantic=False,
+                                                        beta1=0.0, beta2=0.0))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
@@ -198,9 +199,35 @@ def test_view_loss_bad_tau_rejected(tau):
         view_loss(z, T.scale(z, 2.0), tau)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_view_loss_of_a_non_finite_row_is_nan_without_a_warning(value):
+    # an infinite entry warned "invalid value encountered in multiply" in
+    # normalize_rows; NaN already gave NaN quietly
+    z = np.random.default_rng(4).normal(size=(5, 3))
+    z[2, 1] = value
+    assert np.isnan(view_loss(Tensor(z), Tensor(z[::-1].copy()), 0.5).item())
+
+
 def test_numpy_and_int_config_values_accepted():
     assert ContrastConfig(tau=np.float32(0.5), beta1=np.int64(2), beta2=0).tau == 0.5
     assert ControllerConfig(alpha1=1, epsilon=np.float64(0.25)).alpha1 == 1
+    assert not ContrastConfig(include_semantic=np.bool_(False)).include_semantic
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, 1.0, None, np.int64(1)])
+def test_include_semantic_takes_only_a_bool(value):
+    # it is the semantic term's weight, read as 1 or 0: "no" was taken as true
+    with pytest.raises(ContractError, match="include_semantic") as info:
+        ContrastConfig(include_semantic=value)
+    assert info.value.field == "include_semantic"
+
+
+def test_contrast_loss_takes_three_pairs():
+    rng = np.random.default_rng(5)
+    params = init_params(rng, ModelDims(f_in=6, f_embed=5, f_proj=4, f_filter=3))
+    h = Tensor(rng.normal(size=(4, 5)))
+    with pytest.raises(ContractError, match="3 encoding pairs, got 2"):
+        contrast_loss(((h, h), (h, h)), params, ContrastConfig())
 
 
 class TestControllerLoss:
@@ -262,9 +289,9 @@ class TestGradientIsolation:
     def test_contrast_loss_never_touches_phi(self):
         params, g, h_s, h_c, weights = self._full_setup()
         lam_const = weights.lam.detach()
-        emb = EmbeddingSet(h_s, h_s, h_c, h_c,
-                           fuse(h_s, h_c, lam_const), fuse(h_s, h_c, lam_const))
-        backward(contrast_loss(emb, params, ContrastConfig()))
+        pairs = ((h_s, h_s), (h_c, h_c),
+                 (fuse(h_s, h_c, lam_const), fuse(h_s, h_c, lam_const)))
+        backward(contrast_loss(pairs, params, ContrastConfig()))
         for t in params.controller_params().values():
             assert t.grad is None
         assert params.enc_w1.grad is not None
@@ -296,12 +323,16 @@ def _sizes(*sizes):
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 9), np.ones(7)), _sizes(6, 9)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 6), np.ones(5)), _sizes(5, 7)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 6), 3.0), _sizes(1, 7)),
+    (lambda p: controller_lambda(p, _zeros(3, 6), _zeros(3, 6), ["a", "b", "c"]),
+     (r"\(3,\)", "<U1")),
+    (lambda p: controller_lambda(p, _zeros(1, 6), _zeros(1, 6), 3.0), (r"\(\)", "float64")),
     (lambda p: controller_loss(_zeros(1, 1), _zeros(7, 6), _zeros(7, 6), ControllerConfig()),
      _sizes(1, 7)),
     (lambda p: first_layer_product(p, _zeros(7, 7)), _sizes(7, 8)),
 ], ids=["fuse-rows", "fuse-cols", "view_loss-one-row", "view_loss-shapes",
         "project-width", "controller_lambda-rows", "controller_lambda-cols",
         "controller_lambda-short-degree", "controller_lambda-scalar-degree",
+        "controller_lambda-string-degree", "controller_lambda-scalar-degree-one-row",
         "controller_loss-lambda", "first_layer_product-width"])
 def test_shape_fault_is_a_contract_error_naming_the_sizes(call, fragments):
     params = init_params(np.random.default_rng(0),

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import pickle
 import re
@@ -348,6 +349,17 @@ class TestSparseFeatures:
         assert calls == ["spmm", "matmul"]
         with pytest.raises(ContractError, match=r"spmm: .*\b7\b.*\b8\b"):
             first_layer_product(params, sp.csr_matrix((40, 7)))
+
+
+@pytest.mark.parametrize("field, width", [("f_in", -1), ("f_embed", 2.5), ("f_proj", 0),
+                                          ("f_filter", True), ("f_embed", np.nan)])
+def test_init_params_rejects_a_width_that_is_not_a_count(field, width):
+    # a negative width raised numpy's ValueError, 2.5 a TypeError, and 0
+    # built a model that load_checkpoint refuses
+    with pytest.raises(ContractError, match=field) as info:
+        init_params(np.random.default_rng(0), dataclasses.replace(DIMS, **{field: width}))
+    assert info.value.field == field
+    assert not isinstance(info.value, CheckpointError)
 
 
 def test_checkpoint_round_trip(tmp_path, params):

@@ -13,7 +13,7 @@ from nodefuse import losses, training
 from nodefuse import tensor as T
 from nodefuse.errors import ContractError, FormatError
 from nodefuse.losses import contrast_loss
-from nodefuse.model import EmbeddingSet, fuse
+from nodefuse.model import fuse
 
 from conftest import random_graph, traced_memory
 
@@ -136,10 +136,9 @@ class TestSplitBackward:
                     t.grad = None
                 h_s, h_s_aug, h_c, h_c_aug = (fresh_encoding(*c) for c in encoder_calls[:4])
                 lam_t = fuse_lams[0]
-                emb = EmbeddingSet(h_s=h_s, h_s_aug=h_s_aug, h_c=h_c, h_c_aug=h_c_aug,
-                                   h_f=fuse(h_s, h_c, lam_t),
-                                   h_f_aug=fuse(h_s_aug, h_c_aug, lam_t))
-                backward(contrast_loss(emb, made[0], cfg.contrast))
+                pairs = ((h_s, h_s_aug), (h_c, h_c_aug),
+                         (fuse(h_s, h_c, lam_t), fuse(h_s_aug, h_c_aug, lam_t)))
+                backward(contrast_loss(pairs, made[0], cfg.contrast))
                 for name, t in group.items():
                     scale = np.abs(t.grad).max()
                     assert scale > 0.0, name
