@@ -300,9 +300,12 @@ def ari(pred, truth) -> float:
 
 def evaluate_clustering(embeddings, labels, seed: int = 0,
                         restarts: int = 10) -> ClusteringResult:
-    """k-means with k the number of classes in `labels`, scored against them."""
-    y = _labeling(labels)
-    assign = kmeans(embeddings, int(y.max()) + 1, seed=seed, restarts=restarts)
+    """k-means with k the number of classes in `labels`, scored against them;
+    one label per embedding row is checked before k-means runs."""
+    x, y = _as_array(embeddings), _labeling(labels)
+    if len(y) != len(x):
+        raise ContractError(f"{len(y)} labels for {len(x)} embedding rows")
+    assign = kmeans(x, int(y.max()) + 1, seed=seed, restarts=restarts)
     return ClusteringResult(acc=clustering_accuracy(assign, y),
                             nmi=nmi(assign, y),
                             ari=ari(assign, y),

@@ -111,18 +111,40 @@ def _aggregate(adj, x: Tensor) -> Tensor:
     raise ContractError(f"unsupported adjacency type {type(adj).__name__}")
 
 
-def first_layer_product(params: ModelParams, x, keep: np.ndarray | None = None) -> Tensor:
+def first_layer_product(params: ModelParams, x, keep: np.ndarray | None = None):
     """x @ enc_w1, the product both views start from; with a 1 x F `keep` row
-    of 0s and 1s, the feature-masked view's (x * keep) @ enc_w1, taken as
-    x @ (keep.T * enc_w1) so that no masked copy of x is made.
+    of 0s and 1s, the pair of it and the feature-masked view's
+    (x * keep) @ enc_w1.
 
     `x` is a sparse matrix, as `graph.features_as` gives it, multiplied by
-    `T.spmm`, or a dense Tensor. Dropout acts only after the first
-    aggregation, so every encoding of the same x can share one product: pass
-    it to the encoders as `xw`.
+    `T.spmm`, or a dense Tensor. The masked view of sparse features is x
+    without the entries of the masked columns, stacked under x in x's
+    format, so that one product and one backward product X2^T G serve both
+    views; the copy costs O(nnz). A dense x is not copied or stacked, which
+    would cost N x F: its masked view is x @ (keep.T * enc_w1). Dropout acts
+    only after the first aggregation, so every encoding of the same x can
+    share one product: pass it to the encoders as `xw`.
     """
-    w1 = params.enc_w1 if keep is None else T.rowscale(params.enc_w1, Tensor(keep.T))
-    return T.spmm(x, w1) if sp.issparse(x) else T.matmul(x, w1)
+    if not sp.issparse(x):
+        xw = T.matmul(x, params.enc_w1)
+        return xw if keep is None else (
+            xw, T.matmul(x, T.rowscale(params.enc_w1, Tensor(keep.T))))
+    if keep is None:
+        return T.spmm(x, params.enc_w1)
+    n = x.shape[0]
+    both = T.spmm(sp.vstack([x, _drop_columns(x, keep[0] != 0)], format=x.format),
+                  params.enc_w1)
+    return T.rows(both, 0, n), T.rows(both, n, 2 * n)
+
+
+def _drop_columns(x: sp.spmatrix, kept: np.ndarray) -> sp.spmatrix:
+    """A CSR or CSC `x` without the entries of the columns where `kept` is
+    False, in x's format and entry order."""
+    cols = x.indices if x.format == "csr" else np.repeat(
+        np.arange(x.shape[1]), np.diff(x.indptr))
+    entry = kept[cols]
+    indptr = np.concatenate(([0], np.cumsum(entry)))[x.indptr]
+    return type(x)((x.data[entry], x.indices[entry], indptr), shape=x.shape)
 
 
 def _encode(params: ModelParams, x, adj, dropout: tuple | None,

@@ -15,8 +15,10 @@ tape cannot be walked again: build the loss again instead.
 
 The op protocol: an op's ``_backward(g)`` takes its output's gradient and
 returns its vector-Jacobian products, one entry per parent in ``_parents``
-order, each an array shaped like that parent, or None where the op skips a
-constant parent. ``backward`` alone sums the entries into the parents and
+order, each an array shaped like that parent, a ``RowBlock`` where the
+product is zero outside a block of the parent's rows (``rows``), or None
+where the op skips a constant parent. ``backward`` alone sums the entries
+into the parents, each parent's row blocks into one zero-filled array, and
 writes leaf gradients to ``.grad``.
 
 No op warns. Those whose numpy calls could (``@_quiet``), ``backward`` and
@@ -28,6 +30,7 @@ and ``train`` finds it in the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,10 +128,33 @@ def _result(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accum(grads: dict, node: Node | None, g: np.ndarray | None):
+class RowBlock(NamedTuple):
+    """A vector-Jacobian product that is `g` in rows lo:lo + len(g) of a
+    parent of `n_rows` rows and zero elsewhere."""
+
+    lo: int
+    g: np.ndarray
+    n_rows: int
+
+
+def _accum(grads: dict, owned: set, node: Node | None, g):
+    """Add `g` into grads[node]. Row blocks are added in place into an array
+    that `backward` made (its node is in `owned`), zero-filled at the first
+    block, so no padded array is made per block. Any other first entry is
+    stored as it is, since an op may return its own output gradient, and a
+    sum is a new array."""
     if g is None or node is None:
         return
-    grads[node] = grads[node] + g if node in grads else g
+    if isinstance(g, RowBlock):
+        if node not in owned:
+            acc = np.zeros((g.n_rows, g.g.shape[1]), dtype=g.g.dtype)
+            if node in grads:
+                acc += grads[node]
+            grads[node] = acc
+            owned.add(node)
+        grads[node][g.lo:g.lo + len(g.g)] += g.g
+    else:
+        grads[node] = grads[node] + g if node in grads else g
 
 
 def _check_same_shape(a, b, op: str):
@@ -268,6 +294,14 @@ def sum_rows(a: Tensor) -> Tensor:
                    lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
+def rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi of `a`, as a view of its array; the gradient is a RowBlock."""
+    if not 0 <= lo <= hi <= a.rows:
+        raise ContractError(f"rows: {lo}:{hi} is not a row range of {a.shape}")
+    n = a.rows
+    return _result(a.data[lo:hi], (a,), lambda g: (RowBlock(lo, g, n),))
+
+
 def concat_cols(tensors) -> Tensor:
     tensors = list(tensors)
     n = tensors[0].rows
@@ -295,8 +329,9 @@ def rowscale(a: Tensor, v: Tensor, base: Tensor | None = None) -> Tensor:
     if with_base:
         out += base.data
 
-    # constant weights (the keep row in x @ rowscale(enc_w1, keep.T), the
-    # fusion weight) take no product, and then a's array is not kept
+    # constant weights (the keep row of dense features' masked view,
+    # x @ rowscale(enc_w1, keep.T), and the fusion weight) take no product,
+    # and then a's array is not kept
     ad = a.data if v.requires_grad else None
     vd = v.data if a.requires_grad else None
 
@@ -431,17 +466,18 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
         buf = np.empty(min(n, _ROW_BLOCK) * n, dtype=dt)
         pz = np.zeros_like(xz)
         pa = np.zeros_like(xa)
+        col = np.empty_like(xz)     # each tile's column credits, then added
         for left, right, x, w, p in ((zt, z1, xz, w_fwd, pz), (at, a1, xa, w_bwd, pa)):
             for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
                 if w is not None:
                     _fold(tile, w[lo:hi], w[lo:])
                 p[lo:hi] += tile @ x[lo:]
-                p[hi:] += tile[:, hi - lo:].T @ x[lo:hi]
+                p[hi:] += np.matmul(tile[:, hi - lo:].T, x[lo:hi], out=col[hi:])
         for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=diag):
             if w_fwd is not None:
                 _fold(tile, w_fwd[lo:hi], w_bwd)
             pz[lo:hi] += tile @ xa
-            pa += tile.T @ xz[lo:hi]
+            pa += np.matmul(tile.T, xz[lo:hi], out=col)
         return pz, pa
 
     pos = np.empty(n, dtype=dt)     # t * (zn_i . an_i) - t
@@ -500,6 +536,7 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     grads = {loss.node: np.ones((1, 1), dtype=loss.data.dtype)}
+    owned: set[Node] = set()
     for node in reversed(topo):
         g = grads.pop(node, None)
         if node.backward is None:
@@ -508,7 +545,7 @@ def backward(loss: Tensor):
             continue
         if g is not None:
             for p, gp in zip(node.parents, node.backward(g)):
-                _accum(grads, p, gp)
+                _accum(grads, owned, p, gp)
         node.parents, node.backward = (), _walked
 
 

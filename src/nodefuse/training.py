@@ -133,22 +133,23 @@ def _fusion_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor, degree,
 def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamState,
                    x, adj, aug_rng, drop_rng, epoch: int) -> tuple[float, np.ndarray]:
     """Contrast phase: omega and mu move, phi and lambda are frozen."""
-    # the feature mask is drawn as a row for first_layer_product, which
-    # makes no masked copy of the features
+    # the feature mask is drawn as a row, which first_layer_product applies
+    # to a sparse x's entries or to the rows of enc_w1
     keep = mask_features(np.ones((1, x.shape[1]), dtype=cfg.dtype), cfg.augment.p_s, aug_rng)
     g_aug = drop_edges(g, cfg.augment.p_c, aug_rng)
     adj_aug = normalized_adjacency_sparse(g_aug).astype(cfg.dtype)
     masks = [_dropout_mask(drop_rng, (g.n_nodes, params.dims.f_embed),
                            cfg.dropout, cfg.dtype) for _ in range(4)]
 
-    xw = first_layer_product(params, x)
+    xw, xw_masked = first_layer_product(params, x, keep)
     encoded = [encode_semantic(params, x, masks[0], xw=xw),
-               encode_semantic(params, x, masks[1], xw=first_layer_product(params, x, keep)),
+               encode_semantic(params, x, masks[1], xw=xw_masked),
                encode_contextual(params, x, adj, masks[2], xw=xw),
                encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
-    # no backward reads xw or the products and aggregations between it and
-    # the encodings, so dropping it frees them all
-    del xw
+    # no backward reads the products or the aggregations between them and
+    # the encodings, so dropping them frees them all (for sparse x, the
+    # stacked product both are views of)
+    del xw, xw_masked
     h_s, h_s_aug, h_c, h_c_aug = encoded
     lam = _fusion_lambda(params, h_s, h_c, g.degree, cfg.fixed_lambda)
     total = contrast_loss(((h_s, h_s_aug), (h_c, h_c_aug),

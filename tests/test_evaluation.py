@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nodefuse import (Split, ari, clustering_accuracy, evaluate_clustering,
                       kmeans, linear_probe, nmi)
+from nodefuse import evaluation
 from nodefuse.errors import ContractError
 from nodefuse.evaluation import _first_argmax, _plus_plus_init, lloyd
 from nodefuse.tensor import AdamState, adam_step
@@ -491,6 +492,17 @@ class TestAgreementMetrics:
 
     def test_integer_valued_floats_accepted(self):
         assert clustering_accuracy([0.0, 1.0, 1.0], np.array([1, 0, 0], np.uint8)) == 1.0
+
+
+@pytest.mark.parametrize("n_labels", [4, 6])
+def test_evaluate_clustering_checks_lengths_before_kmeans(monkeypatch, n_labels):
+    def failing_kmeans(*args, **kwargs):
+        pytest.fail("k-means ran before the length check")
+
+    monkeypatch.setattr(evaluation, "kmeans", failing_kmeans)
+    x = np.random.default_rng(12).normal(size=(5, 3))
+    with pytest.raises(ContractError, match=f"{n_labels} labels for 5"):
+        evaluate_clustering(x, np.arange(n_labels) % 2)
 
 
 def test_evaluate_clustering_end_to_end():

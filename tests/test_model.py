@@ -237,35 +237,61 @@ def test_shared_first_layer_product_matches_separate_products(params):
         assert np.abs(shared - separate).max() <= 1e-12 * max(1.0, np.abs(separate).max())
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype):
-    # training encodes the feature-masked view as x @ (keep * enc_w1 rows),
-    # not as mask_features(x) @ enc_w1. Its enc_w1 gradient is summed with the
-    # clean view's, as in training: alone, a masked row's gradient is a BLAS
-    # sum of zeros (+0) one way and 0 * s, which keeps s's sign, the other
+@pytest.mark.parametrize("dtype, form", [
+    pytest.param(dtype, form, id=np.dtype(dtype).name + ("" if form == "dense" else f"-{form}"))
+    for form in ("dense", "csr", "csc") for dtype in (np.float32, np.float64)])
+def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype, form):
+    # training encodes the feature-masked view of dense features as
+    # x @ (keep * enc_w1 rows), not as mask_features(x) @ enc_w1. Its enc_w1
+    # gradient is summed with the clean view's, as in training: alone, a
+    # masked row's gradient is a BLAS sum of zeros (+0) one way and 0 * s,
+    # which keeps s's sign, the other.
+    # Sparse features (CSR, or CSC as features_as gives wide ones) are masked
+    # instead: their masked copy, without the masked columns' entries, is
+    # stacked under x for one product. Against x @ (keep * enc_w1 rows), the
+    # encodings drop only exact zeros from their sums and keep every bit;
+    # the enc_w1 gradient is one running sum over both views instead of two
+    # sums added, so it keeps the value, not the bits
     rng = np.random.default_rng(20)
     g = random_graph(rng, n=12, f=8)
     feats = g.features.astype(dtype)
     feats[:, 3] = 0.0                   # a feature no node has
-    x = Tensor(feats)
+    if form != "dense":
+        feats[rng.random(feats.shape) < 0.5] = 0.0
     drop = (rng.random((12, 5)) >= 0.3, dtype(1) / dtype(1 - 0.3))
     seeds = [rng.normal(size=(12, 5)).astype(dtype) for _ in range(2)]
 
-    def run(row_masked: bool):
+    def run(new: bool):
         p = init_params(np.random.default_rng(0), DIMS).astype(dtype)
         keep_rng = np.random.default_rng(21)
-        if row_masked:
-            keep = mask_features(np.ones((1, 8), dtype=dtype), 0.5, keep_rng)
-            xw = T.matmul(x, T.rowscale(p.enc_w1, Tensor(keep.T)))
-            masked = encode_semantic(p, x, drop, xw=xw)
-        else:
+        if form == "dense" and not new:
+            x = Tensor(feats)
+            clean = encode_semantic(p, x)
             masked = encode_semantic(p, Tensor(mask_features(feats, 0.5, keep_rng)), drop)
-        backward(T.add(T.sum_all(T.mul(encode_semantic(p, x), Tensor(seeds[0]))),
+        else:
+            keep = mask_features(np.ones((1, 8), dtype=dtype), 0.5, keep_rng)
+            x = Tensor(feats) if form == "dense" else getattr(sp, f"{form}_matrix")(feats)
+            if new:
+                xw, xw_masked = first_layer_product(p, x, keep)
+            else:
+                xw = T.spmm(x, p.enc_w1)
+                xw_masked = T.spmm(x, T.rowscale(p.enc_w1, Tensor(keep.T)))
+            clean = encode_semantic(p, x, xw=xw)
+            masked = encode_semantic(p, x, drop, xw=xw_masked)
+        backward(T.add(T.sum_all(T.mul(clean, Tensor(seeds[0]))),
                        T.sum_all(T.mul(masked, Tensor(seeds[1])))))
-        return masked.data, p.enc_w1.grad
+        return clean.data, masked.data, p.enc_w1.grad
 
-    for new, old in zip(run(True), run(False)):
+    *new_encodings, new_grad = run(True)
+    *old_encodings, old_grad = run(False)
+    for new, old in zip(new_encodings, old_encodings):
         assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    assert new_grad.dtype == old_grad.dtype
+    if form == "dense":
+        assert new_grad.tobytes() == old_grad.tobytes()
+    else:
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        assert np.abs(new_grad - old_grad).max() <= tol * np.abs(old_grad).max()
 
 
 class TestSparseFeatures:
@@ -276,7 +302,7 @@ class TestSparseFeatures:
         for t in (params.enc_w1, params.enc_w2):
             t.grad = None
         hs = [encode_semantic(params, x, drop),
-              encode_semantic(params, x, drop, xw=first_layer_product(params, x, keep)),
+              encode_semantic(params, x, drop, xw=first_layer_product(params, x, keep)[1]),
               encode_contextual(params, x, adj, drop)]
         loss = None
         for h, seed in zip(hs, seeds):

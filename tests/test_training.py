@@ -102,14 +102,29 @@ class TestSplitBackward:
     @pytest.mark.parametrize("lam", [0.0, 1.0, RANDOM_LAMBDA, None])
     @pytest.mark.parametrize("include", INCLUDES)
     def test_gradients_match_summed_loss(self, graph, monkeypatch, include, lam):
+        self._check_summed_gradients(graph, monkeypatch, include, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, RANDOM_LAMBDA, None])
+    @pytest.mark.parametrize("include", INCLUDES)
+    def test_gradients_match_summed_loss_on_csr_features(self, bow_graph, monkeypatch,
+                                                         include, lam):
+        # both views' first-layer products are row views of one stacked product
+        self._check_summed_gradients(bow_graph, monkeypatch, include, lam)
+
+    @staticmethod
+    def _check_summed_gradients(graph, monkeypatch, include, lam):
         cfg = small_cfg(epochs=1, fixed_lambda=lam, contrast=ContrastConfig(
             include_semantic=include[0], beta1=float(include[1]), beta2=float(include[2])))
         encoder_calls, products, fuse_lams, made, checked = [], [], [], [], []
         product = training.first_layer_product
 
+        def views(out):
+            # the clean product alone, or the clean and the masked view's
+            return out if isinstance(out, tuple) else (out,)
+
         def recording_product(*args):
             out = product(*args)
-            products.append((out, args))
+            products.extend((view, args, k) for k, view in enumerate(views(out)))
             return out
 
         def recording_encoder(encode):
@@ -124,8 +139,8 @@ class TestSplitBackward:
 
         def fresh_encoding(encode, args, xw):
             # the step's tape is walked, so the reference builds its own
-            xw_args = next(a for out, a in products if out is xw)
-            return encode(*args, xw=product(*xw_args))
+            xw_args, k = next((a, k) for view, a, k in products if view is xw)
+            return encode(*args, xw=views(product(*xw_args))[k])
 
         real_step = training._step
 
@@ -175,9 +190,11 @@ class TestSplitBackward:
                 if first(a, b) else matmul(a, b))
             train(g, small_cfg(epochs=1))
             monkeypatch.undo()
-            # two contextual encodings of two aggregations each; one product
-            # x @ enc_w1 shared by three encodings and one of the masked features
-            assert counts == {"spmm": 4, f"first_layer_{first_op}": 2}
+            # two contextual encodings of two aggregations each. Dense: one
+            # product x @ enc_w1 shared by three encodings and one of the
+            # masked features; CSR: one product of x stacked on its masked copy
+            n_first = {"matmul": 2, "spmm": 1}[first_op]
+            assert counts == {"spmm": 4, f"first_layer_{first_op}": n_first}
 
     def test_one_backward_per_contrast_step(self, graph, monkeypatch):
         # a fixed lambda runs no controller step, so every call is the contrast's
@@ -233,12 +250,13 @@ class TestSplitBackward:
                                                           monkeypatch):
         # the shared x @ enc_w1, the masked view's product, the contextual
         # first-layer aggregations and h @ enc_w2 products are dead by the
-        # backward; the encodings themselves are alive. The
-        # first layer is a matmul on dense features and an spmm on CSR ones.
+        # backward; the encodings themselves are alive. The first layer is
+        # two matmuls on dense features, and on CSR ones an spmm of x stacked
+        # on its masked copy, whose two halves are row views.
         for g in (graph, bow_graph):
             refs = {"first_layer": [], "spmm": [], "enc_w2": []}
             alive = []
-            matmul, spmm, real_backward = T.matmul, T.spmm, T.backward
+            matmul, spmm, rows, real_backward = T.matmul, T.spmm, T.rows, T.backward
 
             def tracked_matmul(a, b):
                 out = matmul(a, b)
@@ -254,6 +272,11 @@ class TestSplitBackward:
                     refs[key].append(weakref.ref(out.data))
                 return out
 
+            def tracked_rows(a, lo, hi):
+                out = rows(a, lo, hi)
+                refs["first_layer"].append(weakref.ref(out.data))
+                return out
+
             def checked_backward(loss):
                 if not alive:
                     alive.append({k: [r() is not None for r in v] for k, v in refs.items()})
@@ -261,14 +284,16 @@ class TestSplitBackward:
 
             monkeypatch.setattr(T, "matmul", tracked_matmul)
             monkeypatch.setattr(T, "spmm", tracked_spmm)
+            monkeypatch.setattr(T, "rows", tracked_rows)
             monkeypatch.setattr(T, "backward", checked_backward)
             train(g, small_cfg(epochs=1))
             monkeypatch.undo()
-            # first layer: x @ enc_w1, the masked product; h @ enc_w2 per
+            # first layer: x @ enc_w1 and the masked product (dense), or the
+            # stacked product and its two halves (CSR); h @ enc_w2 per
             # encoding (semantic, masked semantic, contextual, perturbed
             # contextual); spmm: each contextual encoding's first and second
             # aggregation
-            assert alive == [{"first_layer": [False, False],
+            assert alive == [{"first_layer": [False] * (2 if g is graph else 3),
                               "enc_w2": [True, True, False, False],
                               "spmm": [False, True, False, True]}]
 
