@@ -12,6 +12,9 @@ from .tensor import AdamState, Tensor, adam_step
 
 _PROBE_LR = 0.01        # Adam step size of the linear probe
 _LLOYD_MAX_ITER = 300   # Lloyd iterations per k-means restart
+# the bound on an embedding entry's magnitude: each squared difference of two
+# entries is then below 2**962, so no sum of squares over 2**62 rows overflows
+_EMBED_BOUND = np.float64(2.0 ** 480)
 
 
 @dataclass
@@ -37,11 +40,12 @@ class ClusteringResult:
 
 def _as_array(x) -> np.ndarray:
     """Embeddings (a Tensor or an array) as an array; they must be 2-D, and
-    each row's squared norm finite, as standardizing and k-means square them."""
+    each entry finite and under _EMBED_BOUND in magnitude, as standardizing
+    and k-means square them and their differences."""
     a = x.data if isinstance(x, Tensor) else number_array("embeddings", x, 2)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.einsum("ij,ij->i", a, a)).all():
-            raise ContractError("embeddings must have finite squared row norms")
+    if not (np.abs(a) < _EMBED_BOUND).all():     # NaN fails
+        raise ContractError("embeddings must be finite, each entry under 2**480 "
+                            "in magnitude")
     return a
 
 
@@ -71,14 +75,16 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     check_range("epochs", epochs, 0, np.inf, integer=True)
     check_range("seed", seed, 0, np.inf, integer=True)
     emb = _as_array(embeddings)
-    y = _labeling(labels)
+    # the classes present, numbered 0..C-1 in order: the same labels when
+    # they are 0..C-1, however large a label value is
+    classes, y = np.unique(_labeling(labels), return_inverse=True)
     if len(y) != len(emb):
         raise ContractError(f"{len(y)} labels for {len(emb)} embeddings")
     dtype = np.float32 if emb.dtype == np.float32 else np.float64
     x = emb.astype(np.float64)
     std = x.std(axis=0)
     x = ((x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)).astype(dtype, copy=False)
-    n_classes, n_splits = int(y.max()) + 1, len(splits)
+    n_classes, n_splits = len(classes), len(splits)
     y_train = np.full((n_splits, len(y)), -1)   # a split's labels, -1 off its rows
     y_val = y_train.copy()
     for i, split in enumerate(splits):
@@ -236,12 +242,15 @@ def _labeling(y) -> np.ndarray:
 
 
 def _contingency(pred, truth) -> np.ndarray:
+    """Counts of each (cluster, class) pair present, the labels of each
+    labeling numbered 0..K-1 in order; ACC, NMI and ARI read only its
+    nonzero counts."""
     pred, truth = _labeling(pred), _labeling(truth)
     if pred.shape != truth.shape:
         raise ContractError(f"labelings differ in length: {pred.shape} vs {truth.shape}")
-    kp = int(pred.max()) + 1
-    kt = int(truth.max()) + 1
-    table = np.zeros((kp, kt), dtype=np.int64)
+    pred = np.unique(pred, return_inverse=True)[1]
+    truth = np.unique(truth, return_inverse=True)[1]
+    table = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
     np.add.at(table, (pred, truth), 1)
     return table
 
@@ -305,7 +314,7 @@ def evaluate_clustering(embeddings, labels, seed: int = 0,
     x, y = _as_array(embeddings), _labeling(labels)
     if len(y) != len(x):
         raise ContractError(f"{len(y)} labels for {len(x)} embedding rows")
-    assign = kmeans(x, int(y.max()) + 1, seed=seed, restarts=restarts)
+    assign = kmeans(x, len(np.unique(y)), seed=seed, restarts=restarts)
     return ClusteringResult(acc=clustering_accuracy(assign, y),
                             nmi=nmi(assign, y),
                             ari=ari(assign, y),

@@ -100,7 +100,10 @@ MALFORMED = {
     "features_nan": _rewrite("features.csv", lambda t: "nan" + t[t.index(","):]),
     "features_inf": _rewrite("features.csv", lambda t: "-inf" + t[t.index(","):]),
     "features_square_overflows": _rewrite("features.csv", _huge_feature),
+    "features_comment_line": _rewrite("features.csv", lambda t: "# word counts\n" + t),
+    "features_trailing_comment": _rewrite("features.csv", lambda t: t + "# note\n"),
     "labels_non_numeric": _rewrite("labels.txt", lambda t: "x" + t[t.index("\n"):]),
+    "labels_comment_line": _rewrite("labels.txt", lambda t: "# class ids\n" + t),
     "meta_not_json": _rewrite("meta.json", lambda t: t[:-1]),
     "meta_not_utf8": _latin1_meta_name,
     "meta_missing_n_nodes": _drop_meta_key("n_nodes"),

@@ -140,8 +140,8 @@ ARRAY_FAULTS = {
     "inf": lambda a, pos: _one_entry(a, pos, np.inf),
     "-inf": lambda a, pos: _one_entry(a, pos, -np.inf),
     "huge": lambda a, pos: _one_entry(a, pos, 1e300),
-    "out_of_range": lambda a, pos: a + 10 * N * (np.arange(a.size).reshape(a.shape)
-                                                 == pos % max(a.size, 1)),
+    "out_of_range": lambda a, pos: a + 10 ** 9 * (np.arange(a.size).reshape(a.shape)
+                                                  == pos % max(a.size, 1)),
     "negative": lambda a, pos: -a - 1,
     "mixed": lambda a, pos: _one_entry(a, pos, "a").tolist(),
     "strings": lambda a, pos: a.astype(str),

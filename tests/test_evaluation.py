@@ -107,14 +107,15 @@ class TestLinearProbe:
 
 
 def reference_linear_probe(x, y, splits, lr=0.01, epochs=300, seed=0):
-    """One logistic regression per split, trained one after another.
+    """One logistic regression per split, trained one after another, over
+    the classes present, numbered 0..C-1 in order.
 
     Standardizes in float64, then trains in float32 for float32 input and in
     float64 for any other."""
     x = np.asarray(x)
     dtype = np.float32 if x.dtype == np.float32 else np.float64
     x = x.astype(np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)[1]
     std = x.std(axis=0)
     x = ((x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)).astype(dtype)
     n_classes = int(y.max()) + 1
@@ -513,3 +514,45 @@ def test_evaluate_clustering_end_to_end():
     assert res.nmi == pytest.approx(1.0)
     assert res.ari == pytest.approx(1.0)
     assert len(res.assignment) == len(y)
+
+
+def test_entries_bounded_before_any_square_is_summed():
+    # every row norm squares to about 1.4e308, finite; the column sums overflow
+    x = np.array([[1.2e154], [-1.2e154], [1.2e154], [-1.2e154], [1.0], [2.0]])
+    y = np.array([0, 1, 0, 1, 0, 1])
+    split = Split(train=np.arange(4), val=np.array([4]), test=np.array([5]), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: linear_probe(x, y, [split], epochs=2),
+                     lambda: evaluate_clustering(x, y, restarts=2),
+                     lambda: kmeans(x, 2, seed=0, restarts=2)):
+            with pytest.raises(ContractError, match="2\\*\\*480"):
+                call()
+        kmeans(np.array([[2.0 ** 479], [-2.0 ** 479], [1.0]]), 2, seed=0, restarts=2)
+
+
+class TestLabelsPresent:
+    """Evaluation sizes its tables by the labels present, not the largest one."""
+
+    def test_probe_on_relabeled_classes_keeps_its_bits(self):
+        x, y = blobs(np.random.default_rng(13), k=3, per=10)
+        splits = [even_split(len(y), s) for s in range(2)]
+        ref = linear_probe(x, y, splits, epochs=5).accuracies
+        far = np.array([2, 10 ** 6, 10 ** 9])[y]    # the same order of classes
+        assert linear_probe(x, far, splits, epochs=5).accuracies == ref
+
+    def test_metrics_on_relabeled_classes_keep_their_bits(self):
+        rng = np.random.default_rng(14)
+        pred, truth = rng.integers(0, 4, size=50), rng.integers(0, 3, size=50)
+        far_pred = np.array([0, 7, 10 ** 8, 10 ** 9])[pred]
+        far_truth = np.array([5, 10 ** 8, 3 * 10 ** 8])[truth]
+        for metric in (clustering_accuracy, nmi, ari):
+            assert metric(far_pred, far_truth) == metric(pred, truth)
+
+    def test_clustering_takes_k_from_the_classes_present(self, monkeypatch):
+        ks = []
+        monkeypatch.setattr(evaluation, "kmeans",
+                            lambda x, k, **kw: ks.append(k) or np.arange(len(x)) % k)
+        x = np.random.default_rng(15).normal(size=(6, 2))
+        evaluate_clustering(x, [0, 4, 4, 10 ** 9, 0, 4])
+        assert ks == [3]

@@ -1,5 +1,7 @@
+import json
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from nodefuse import (Tensor, build_graph, load_graph, make_splits,
                       neighborhood_similarity, write_graph)
 from nodefuse.errors import ContractError, FormatError, LoadError
+from nodefuse import graph
 from nodefuse.graph import (_SPARSE_BELOW, _largest_remainder_sizes, features_as,
                             normalized_adjacency_sparse)
 
@@ -269,9 +272,10 @@ class TestFeatureStorage:
         rng = np.random.default_rng(2)
         d = write_dataset(tmp_path / "bow", n, [(0, 1), (1, 2)],
                           (rng.random((n, f)) < 0.02).astype(np.float64))
-        held, _ = traced_memory(lambda: load_graph(d))
+        held, peak = traced_memory(lambda: load_graph(d))
         assert load_graph(d).n_features == f
         assert held < n * f * 8 / 4
+        assert peak < n * f * 8
 
     @pytest.mark.parametrize("word_rate", [None, 0.03], ids=["dense", "csr"])
     def test_write_load_round_trip_is_byte_identical(self, tmp_path, word_rate):
@@ -313,6 +317,188 @@ class TestFeatureStorage:
             x = features_as(g, np.float32)
             assert x.format == form and x.dtype == np.float32
             assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+
+
+def assert_same_graph(a, b):
+    """Bitwise equal graphs: the storage of `x`, the edges and the labels."""
+    assert type(a.x) is type(b.x) and a.x.dtype == b.x.dtype and a.x.shape == b.x.shape
+    if sp.issparse(a.x):
+        for part in ("data", "indices", "indptr"):
+            ours, theirs = getattr(a.x, part), getattr(b.x, part)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    else:
+        assert a.x.tobytes() == b.x.tobytes()
+    assert a.edges.dtype == b.edges.dtype and np.array_equal(a.edges, b.edges)
+    assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
+    assert (a.n_classes, a.n_dropped_lines, a.name) == (b.n_classes, b.n_dropped_lines,
+                                                        b.name)
+
+
+def load_both(d):
+    """load_graph(d) as read, then with every file read by np.loadtxt: each
+    a Graph or the text of its FormatError."""
+    def attempt():
+        try:
+            return load_graph(d)
+        except FormatError as exc:
+            return str(exc)
+
+    fast = attempt()
+    with mock.patch.object(graph, "_read_table", lambda *args: None):
+        return fast, attempt()
+
+
+@st.composite
+def decimal_tables(draw):
+    """(rows of tokens, style): non-negative decimals of 1-17 digits, with or
+    without a fraction, at a drawn share of nonzero entries."""
+    n, f = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.0, 0.01, 0.04, 0.06, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    digits = st.text("0123456789", min_size=1, max_size=17)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(f):
+            if rng.random() >= density:
+                row.append("0")
+                continue
+            token = draw(digits)
+            if len(token) > 1 and draw(st.booleans()):
+                cut = draw(st.integers(1, len(token) - 1))
+                token = token[:cut] + "." + token[cut:]
+            row.append(token)
+        rows.append(row)
+    return rows, draw(st.sampled_from(["as drawn", "repr", "integers"]))
+
+
+def _move_first_token_up(t: str) -> str:
+    """Row 1's first token moved to the end of row 0: the token count stays."""
+    first, second, rest = t.split("\n", 2)
+    token, second = second.split(",", 1)
+    return f"{first},{token}\n{second}\n{rest}"
+
+
+class TestTableReader:
+    @settings(max_examples=150, deadline=None)
+    @given(decimal_tables(), st.sampled_from([16, 64, 1 << 17]))
+    @example(([["0", "12345678901234567"], ["0.30000000000000004", "0"]], "as drawn"), 16)
+    def test_loads_bitwise_as_loadtxt(self, tmp_path_factory, table, block):
+        rows, style = table
+        if style == "repr":          # as write_graph writes a value
+            rows = [[repr(float(t)) for t in row] for row in rows]
+        elif style == "integers":
+            rows = [[t.replace(".", "") for t in row] for row in rows]
+        n = len(rows)
+        d = write_dataset(tmp_path_factory.mktemp("t"), n, [(i, (i + 1) % n) for i in
+                                                             range(n)], np.zeros((n, 1)),
+                          labels=np.arange(n) % 3, n_classes=3)
+        (d / "features.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+        meta = json.loads((d / "meta.json").read_text())
+        (d / "meta.json").write_text(json.dumps({**meta, "n_features": len(rows[0])}))
+        with mock.patch.object(graph, "_READ_BYTES", block):
+            fast, slow = load_both(d)
+            if style != "repr":
+                assert graph._read_table(d / "features.csv", len(rows[0]), ",",
+                                         np.float64) is not None
+        assert not isinstance(slow, str)
+        assert_same_graph(fast, slow)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: " " + t,
+        lambda t: "-" + t,
+        lambda t: "+" + t,
+        lambda t: "1e3" + t[t.index(","):],
+        lambda t: "nan" + t[t.index(","):],
+        lambda t: ".5" + t[t.index(","):],
+        lambda t: "5." + t[t.index(","):],
+        lambda t: "1.2.5" + t[t.index(","):],
+        lambda t: t[t.index(","):],
+        lambda t: t[:-1],
+        lambda t: t + "1\n",
+        _move_first_token_up,
+        lambda t: t.replace(",", ",0,"),
+        lambda t: "",
+        lambda t: "\xe9" + t[t.index(","):],
+    ], ids=["crlf", "space", "minus", "plus", "exponent", "nan", "no_integer_part",
+            "no_fraction_digits", "two_dots", "empty_token", "no_final_newline",
+            "ragged_row", "rows_of_unequal_width", "wider_than_meta", "empty_file", "not_utf8"])
+    def test_declined_file_reads_as_loadtxt_reads_it(self, tmp_path, edit):
+        feats = np.zeros((6, 4))
+        feats[::2, 1] = 1.0
+        d = write_dataset(tmp_path / "d", 6, [(0, 1), (2, 5)], feats,
+                          labels=[0, 1, 2, 0, 1, 2], n_classes=3)
+        path = d / "features.csv"
+        path.write_bytes(edit(path.read_text()).encode("latin-1"))
+        assert graph._read_table(path, 4, ",", np.float64) is None
+        fast, slow = load_both(d)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert_same_graph(fast, slow)
+
+    @pytest.mark.parametrize("name, text", [
+        ("edges.tsv", "0\t1\r\n1\t2\r\n"),
+        ("edges.tsv", "0 1\n1\t2\n"),
+        ("edges.tsv", "0\t1\n1\t2"),
+        ("edges.tsv", "0\t1\n1\t2.0\n"),
+        ("edges.tsv", "0\t1\n1\t12345678901234567890\n"),
+        ("labels.txt", "0\n1\n2\n0\n1\n-2\n"),
+        ("labels.txt", "0\n1\n2\n0\n1\n2\t0\n"),
+    ], ids=["edges_crlf", "edges_space", "edges_no_final_newline", "edges_float",
+            "edges_overflow", "labels_negative", "labels_two_columns"])
+    def test_declined_integer_file_reads_as_loadtxt_reads_it(self, tmp_path, name, text):
+        d = write_dataset(tmp_path / "d", 6, [(0, 1)], np.eye(6),
+                          labels=[0, 1, 2, 0, 1, 2], n_classes=3)
+        (d / name).write_text(text)
+        fast, slow = load_both(d)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert_same_graph(fast, slow)
+
+    def test_benchmark_shaped_files_take_the_fast_path(self, tmp_path):
+        g = random_graph(np.random.default_rng(16), n=30, f=200, word_rate=0.02)
+        write_graph(g, tmp_path / "g")
+        (tmp_path / "g" / "features.csv").write_text(   # as perfbench writes them
+            "".join(",".join(str(int(v)) for v in row) + "\n" for row in g.features))
+        tables = [("features.csv", 200, ",", np.float64),
+                  ("edges.tsv", 2, "\t", np.int64), ("labels.txt", 1, "\t", np.int64)]
+        for name, width, delimiter, dtype in tables:
+            assert graph._read_table(tmp_path / "g" / name, width, delimiter,
+                                     dtype) is not None
+        assert_same_graph(*load_both(tmp_path / "g"))
+
+
+class TestBuildGraphFromSparse:
+    @pytest.mark.parametrize("rate", [0.02, 0.3])
+    def test_same_graph_as_from_the_dense_array(self, rate):
+        feats = (np.random.default_rng(17).random((40, 30)) < rate) * 1.5
+        ours = build_graph(40, [(0, 1)], sp.csr_matrix(feats), [0] * 40)
+        assert_same_graph(ours, build_graph(40, [(0, 1)], feats, [0] * 40))
+        assert sp.issparse(ours.x) == (rate < _SPARSE_BELOW)
+
+    def test_explicit_zeros_and_duplicates_summed_without_touching_the_input(self):
+        m = sp.csr_matrix((np.array([0.0, 1.0, 2.0]), np.array([0, 3, 3]),
+                           np.array([0, 3] + [3] * 39)), shape=(40, 30))
+        g = build_graph(40, [], m, [0] * 40)
+        assert g.x.nnz == 1 and g.x[0, 3] == 3.0 and m.nnz == 3
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite feature nan at row 7, column 3"),
+        (1e200, "the squared norm of feature row 7 overflows float64")])
+    def test_checked_as_the_dense_array(self, value, message):
+        feats = np.zeros((10, 100))
+        feats[7, 3] = value
+        with pytest.raises(FormatError, match=re.escape(message)):
+            build_graph(10, [], sp.csr_matrix(feats))
+
+    def test_shape_and_dtype_checked(self):
+        with pytest.raises(FormatError, match=re.escape("got shape (9, 4)")):
+            build_graph(10, [], sp.csr_matrix(np.ones((9, 4))))
+        with pytest.raises(FormatError, match="must be numbers, got dtype complex"):
+            build_graph(2, [], sp.csr_matrix(np.ones((2, 4), dtype=complex)))
 
 
 class TestNormalizedAdjacency:
