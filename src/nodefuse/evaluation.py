@@ -75,8 +75,8 @@ def linear_probe(embeddings, labels, splits: list[Split], epochs: int = 300,
     check_range("epochs", epochs, 0, np.inf, integer=True)
     check_range("seed", seed, 0, np.inf, integer=True)
     emb = _as_array(embeddings)
-    # the classes present, numbered 0..C-1 in order: the same labels when
-    # they are 0..C-1, however large a label value is
+    # the classes present, numbered 0..C-1 in order; labels that are
+    # already 0..C-1 stay as they are
     classes, y = np.unique(_labeling(labels), return_inverse=True)
     if len(y) != len(emb):
         raise ContractError(f"{len(y)} labels for {len(emb)} embeddings")
