@@ -6,19 +6,21 @@ Canonical dataset directory layout:
     features.csv  n_nodes lines of comma-separated reals
     labels.txt    optional, n_nodes lines of 0-based class ids
 
-Each table file is read by `_read_table` when it keeps to a plain grammar:
-digits, the delimiter, '\n' and, in features, '.'; the same token count on
-each row; no empty token; at most one '.' a token, between two digits; a
-final '\n'. It finds the separators and the nonzero digits with numpy, a
-block of rows at a time, and converts only the tokens that hold a nonzero
-digit, so bag-of-words features go straight to CSR. Any other file is read
-by np.loadtxt, to the same values and the same FormatError texts.
+features.csv is read by `_read_features` when it keeps to a plain grammar:
+digits, ',', '.' and '\n'; n_features tokens on each row; no empty token;
+at most one '.' a token, between two digits; a final '\n'. It finds the
+separators and the nonzero digits with numpy, a block of rows at a time,
+and converts only the tokens that hold a nonzero digit, so bag-of-words
+features go straight to CSR. Any other features file, and every edges.tsv
+and labels.txt, is read by np.loadtxt, to the same values and the same
+FormatError texts.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -242,54 +244,56 @@ def _loadtxt(path, dtype, **kwargs) -> np.ndarray:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-_READ_BYTES = 1 << 17    # bytes of a table file parsed at a time by _read_table
+_READ_BYTES = 1 << 17    # bytes of features.csv parsed at a time by _read_features
 # a decimal of up to 15 digits is an integer exact in float64, and so is
 # 10**k for each k up to 15; their quotient is the correctly rounded value
 _EXACT_DIGITS = 15
 _POW10 = np.array([float(10 ** k) for k in range(_EXACT_DIGITS + 1)])
-_DOT, _NEWLINE = ord("."), ord("\n")
+_DOT, _COMMA, _NEWLINE = ord("."), ord(","), ord("\n")
 
 
-def _read_table(path, width: int, delimiter: str, dtype):
-    """The nonzero entries of a table of non-negative numbers as (n_rows,
-    rows, columns, values), or None for a file outside the plain grammar:
-    only digits, `delimiter`, '\n' and, for floats, '.'; `width` tokens on
-    each row; no empty token; at most one '.' per token, between two digits;
-    a final '\n'. Such a file reads to the same values as with np.loadtxt.
+def _read_features(path, width: int):
+    """A features file of non-negative decimals as a CSR matrix, or None for
+    a file outside the plain grammar: only digits, ',', '.' and '\n'; `width`
+    tokens on each row; no empty token; at most one '.' per token, between
+    two digits; a final '\n'. Such a file reads to the same values as with
+    np.loadtxt.
 
     The file is parsed `_READ_BYTES` at a time, cut after a newline, so its
     temporaries grow with that block, not with the file. Only tokens that
     hold a nonzero digit are converted.
     """
-    if width < 1:
-        return None
     parts, n_rows, rest = [], 0, b""
     with open(path, "rb") as fh:
+        # no final newline, or an empty file: declined before any parsing
+        if width < 1 or not fh.seek(0, os.SEEK_END):
+            return None
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            return None
+        fh.seek(0)
         while chunk := fh.read(_READ_BYTES):
             block = rest + chunk
             end = block.rfind(b"\n") + 1
             rest = block[end:]
             if end:
-                part = _parse_rows(np.frombuffer(block, np.uint8, end), width,
-                                   ord(delimiter), dtype)
+                part = _parse_rows(np.frombuffer(block, np.uint8, end), width)
                 if part is None:
                     return None
                 n, rows, cols, values = part
                 parts.append((rows + n_rows, cols, values))
                 n_rows += n
-    if rest or not n_rows:      # no final newline, or an empty file
-        return None
     rows, cols, values = (np.concatenate(a) for a in zip(*parts))
-    return n_rows, rows, cols, values
+    return _csr((n_rows, width), np.bincount(rows, minlength=n_rows), cols, values)
 
 
-def _parse_rows(buf: np.ndarray, width: int, delimiter: int, dtype):
-    """_read_table's result for `buf`, bytes that end in a newline."""
-    is_float = dtype is np.float64
+def _parse_rows(buf: np.ndarray, width: int):
+    """(n_rows, rows, columns, values) of the nonzero entries in `buf`,
+    bytes that end in a newline, or None outside _read_features' grammar."""
     digit = buf - ord("0") < 10                 # uint8 wraps below '0'
     is_nl = buf == _NEWLINE
-    is_sep = is_nl | (buf == delimiter)
-    dots = np.flatnonzero(buf == _DOT) if is_float else ()
+    is_sep = is_nl | (buf == _COMMA)
+    dots = np.flatnonzero(buf == _DOT)
     if (np.count_nonzero(digit) + np.count_nonzero(is_sep) + len(dots) != len(buf)
             or is_sep[0] or (is_sep[1:] & is_sep[:-1]).any()):     # an empty token
         return None
@@ -301,31 +305,27 @@ def _parse_rows(buf: np.ndarray, width: int, delimiter: int, dtype):
     if len(dots) and (dots[0] == 0 or not (digit[dots - 1] & digit[dots + 1]).all()
                       or not np.diff(dot_tokens).all()):
         return None
-    if is_float:    # the tokens that hold a nonzero digit
-        tokens = np.searchsorted(sep, np.flatnonzero(buf - ord("1") < 9))
-        tokens = tokens[np.diff(tokens, prepend=-1) != 0]
-        start = np.where(tokens > 0, sep[tokens - 1] + 1, 0)
-    else:           # edge and label tokens are mostly nonzero: take them all
-        tokens = np.arange(len(sep))
-        start = np.concatenate([[0], sep[:-1] + 1])
+    # the tokens that hold a nonzero digit
+    tokens = np.searchsorted(sep, np.flatnonzero(buf - ord("1") < 9))
+    tokens = tokens[np.diff(tokens, prepend=-1) != 0]
+    start = np.where(tokens > 0, sep[tokens - 1] + 1, 0)
     length = sep[tokens] - start
-    if not is_float and length.max(initial=0) > 18:     # may not fit in int64
-        return None
-    # each token's digits as one integer, then over 10**(digits after its '.')
-    value = np.zeros(len(tokens), np.int64)
-    for k in range(length.max(initial=0)):
-        byte = np.take(buf, start + k, mode="clip")
-        is_digit = (k < length) & (byte != _DOT)
-        np.multiply(value, 10, out=value, where=is_digit)
-        np.add(value, byte - ord("0"), out=value, where=is_digit)
-    if not is_float:
-        return n, tokens // width, tokens % width, value
     has_dot = n_fraction = 0
     if len(dots):
         at = np.minimum(np.searchsorted(dot_tokens, tokens), len(dots) - 1)
         has_dot = dot_tokens[at] == tokens
         n_fraction = np.where(has_dot, start + length - 1 - dots[at], 0)
     long = length - has_dot > _EXACT_DIGITS
+    # each short token's digits as one integer, then over 10**(digits after
+    # its '.'); the loop reads at most 16 characters, a short token's 15
+    # digits and '.', so a long token costs no more passes, and its partial
+    # value, under 10**16, fits int64 before float() replaces it
+    value = np.zeros(len(tokens), np.int64)
+    for k in range(min(length.max(initial=0), _EXACT_DIGITS + 1)):
+        byte = np.take(buf, start + k, mode="clip")
+        is_digit = (k < length) & (byte != _DOT)
+        np.multiply(value, 10, out=value, where=is_digit)
+        np.add(value, byte - ord("0"), out=value, where=is_digit)
     value = value / _POW10[np.where(long, 0, n_fraction)]
     for i in np.flatnonzero(long):
         value[i] = float(buf[start[i]:start[i] + length[i]].tobytes())
@@ -353,9 +353,13 @@ def load_graph(dataset_dir) -> Graph:
         raise FormatError(f"{meta_path} does not hold a JSON object ({exc})") from exc
     _check_count(f"{meta_path}: n_features", n_features)    # build_graph checks the others
 
-    # build_graph rejects a column count other than 2
-    edge_list = _load_table(edges_path, 2, np.int64, None, ndmin=2)
-    features = _load_table(feat_path, n_features, np.float64, ",", ndmin=2)
+    # comments=None keeps a '#' line a format error, like any other token;
+    # build_graph rejects a column count other than 2.
+    edge_list = _loadtxt(edges_path, np.int64, ndmin=2, comments=None)
+    features = _read_features(feat_path, n_features)
+    if features is None:
+        features = _loadtxt(feat_path, np.float64, delimiter=",", ndmin=2,
+                            comments=None)
     if features.shape[1] != n_features:
         raise FormatError(
             f"features.csv has {features.shape[1]} columns, "
@@ -365,28 +369,11 @@ def load_graph(dataset_dir) -> Graph:
     labels = None
     labels_path = d / "labels.txt"
     if labels_path.is_file():
-        labels = _load_table(labels_path, 1, np.int64, None, ndmin=1)
+        labels = _loadtxt(labels_path, np.int64, ndmin=1, comments=None)
 
     return build_graph(n, edge_list, features, labels=labels,
                        n_classes=n_classes,
                        name=str(meta.get("name", d.name)))
-
-
-def _load_table(path, width: int, dtype, delimiter: str | None, ndmin: int):
-    """A table file as `_read_table` reads it, with `delimiter` or else a tab:
-    float64 features as a CSR matrix, integers as an int64 array of `width`
-    columns (one column squeezed). A file outside its grammar is read by
-    np.loadtxt, with `delimiter` (None: any whitespace); comments=None keeps
-    a '#' line a format error, like any other token."""
-    table = _read_table(path, width, delimiter or "\t", dtype)
-    if table is None:
-        return _loadtxt(path, dtype, delimiter=delimiter, ndmin=ndmin, comments=None)
-    n_rows, rows, cols, values = table
-    if dtype is np.float64:
-        return _csr((n_rows, width), np.bincount(rows, minlength=n_rows), cols, values)
-    out = np.zeros((n_rows, width), np.int64)
-    out[rows, cols] = values
-    return out if width > 1 else out[:, 0]
 
 
 _WRITE_ROWS = 256   # feature rows made dense at a time by write_graph
