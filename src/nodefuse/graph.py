@@ -265,8 +265,9 @@ def _read_features(path, width: int):
     """
     parts, n_rows, rest = [], 0, b""
     with open(path, "rb") as fh:
-        # no final newline, or an empty file: declined before any parsing
-        if width < 1 or not fh.seek(0, os.SEEK_END):
+        # a row of `width` tokens takes at least 2 * width bytes; that, or no
+        # final newline, declines the file before any parsing
+        if not 1 <= width <= fh.seek(0, os.SEEK_END) // 2:
             return None
         fh.seek(-1, os.SEEK_END)
         if fh.read(1) != b"\n":

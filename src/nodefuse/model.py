@@ -94,10 +94,14 @@ def init_params(rng: np.random.Generator, dims: ModelDims) -> ModelParams:
     for f in fields(ModelDims):
         check_range(f.name, getattr(dims, f.name), 1, np.inf, integer=True)
     def draw(name, fan_in, fan_out):
-        if "_b" in name:
-            return np.zeros((fan_in, fan_out))
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        try:
+            if "_b" in name:
+                return np.zeros((fan_in, fan_out))
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        except (ValueError, MemoryError, OverflowError) as exc:    # a width too large
+            raise ContractError(f"init_params: cannot make {name} of shape "
+                                f"({fan_in}, {fan_out}): {exc}") from exc
 
     return ModelParams(**{name: Tensor(draw(name, *shape), requires_grad=True)
                           for name, shape in param_shapes(dims).items()})

@@ -15,10 +15,8 @@ tape cannot be walked again: build the loss again instead.
 
 The op protocol: an op's ``_backward(g)`` takes its output's gradient and
 returns its vector-Jacobian products, one entry per parent in ``_parents``
-order, each an array shaped like that parent, a ``RowBlock`` where the
-product is zero outside a block of the parent's rows (``rows``), or None
-where the op skips a constant parent. ``backward`` alone sums the entries
-into the parents, each parent's row blocks into one zero-filled array, and
+order, each an array shaped like that parent, or None where the op skips a
+constant parent. ``backward`` alone sums the entries into the parents and
 writes leaf gradients to ``.grad``.
 
 No op warns. Those whose numpy calls could (``@_quiet``), ``backward`` and
@@ -30,7 +28,6 @@ and ``train`` finds it in the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,35 +123,6 @@ def _result(data, parents, backward_fn) -> Tensor:
     if any(nodes):
         out.node = Node(nodes, backward_fn)
     return out
-
-
-class RowBlock(NamedTuple):
-    """A vector-Jacobian product that is `g` in rows lo:lo + len(g) of a
-    parent of `n_rows` rows and zero elsewhere."""
-
-    lo: int
-    g: np.ndarray
-    n_rows: int
-
-
-def _accum(grads: dict, owned: set, node: Node | None, g):
-    """Add `g` into grads[node]. Row blocks are added in place into an array
-    that `backward` made (its node is in `owned`), zero-filled at the first
-    block, so no padded array is made per block. Any other first entry is
-    stored as it is, since an op may return its own output gradient, and a
-    sum is a new array."""
-    if g is None or node is None:
-        return
-    if isinstance(g, RowBlock):
-        if node not in owned:
-            acc = np.zeros((g.n_rows, g.g.shape[1]), dtype=g.g.dtype)
-            if node in grads:
-                acc += grads[node]
-            grads[node] = acc
-            owned.add(node)
-        grads[node][g.lo:g.lo + len(g.g)] += g.g
-    else:
-        grads[node] = grads[node] + g if node in grads else g
 
 
 def _check_same_shape(a, b, op: str):
@@ -295,11 +263,18 @@ def sum_rows(a: Tensor) -> Tensor:
 
 
 def rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows lo:hi of `a`, as a view of its array; the gradient is a RowBlock."""
+    """Rows lo:hi of `a`, as a view of its array; the gradient is zero
+    outside those rows."""
     if not 0 <= lo <= hi <= a.rows:
         raise ContractError(f"rows: {lo}:{hi} is not a row range of {a.shape}")
-    n = a.rows
-    return _result(a.data[lo:hi], (a,), lambda g: (RowBlock(lo, g, n),))
+    shape = a.shape
+
+    def backward(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[lo:hi] = g
+        return (full,)
+
+    return _result(a.data[lo:hi], (a,), backward)
 
 
 def concat_cols(tensors) -> Tensor:
@@ -536,7 +511,6 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     grads = {loss.node: np.ones((1, 1), dtype=loss.data.dtype)}
-    owned: set[Node] = set()
     for node in reversed(topo):
         g = grads.pop(node, None)
         if node.backward is None:
@@ -545,7 +519,9 @@ def backward(loss: Tensor):
             continue
         if g is not None:
             for p, gp in zip(node.parents, node.backward(g)):
-                _accum(grads, owned, p, gp)
+                # a sum is a new array: an op may return its own output gradient
+                if p is not None and gp is not None:
+                    grads[p] = grads[p] + gp if p in grads else gp
         node.parents, node.backward = (), _walked
 
 

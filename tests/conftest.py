@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -81,6 +82,15 @@ def _set_meta(key, make, unlabeled=False):
     return apply
 
 
+def _wide_meta(width):
+    """Every feature token set to 1, so the vectorized reader takes the file,
+    and meta.json's n_features set to `width`."""
+    def apply(d: Path):
+        _rewrite("features.csv", lambda t: re.sub(r"[^,\n]+", "1", t))(d)
+        _set_meta("n_features", lambda v: width)(d)
+    return apply
+
+
 def _huge_feature(t: str) -> str:
     # finite in float64, but the squared norm of its row is not
     return "1e300" + t[t.index(","):]
@@ -112,6 +122,9 @@ MALFORMED = {
     # counts that int() would truncate or convert: each must be a JSON integer >= 0
     "meta_n_nodes_fractional": _set_meta("n_nodes", lambda v: v + 0.9),
     "meta_n_features_fractional": _set_meta("n_features", lambda v: v + 0.5),
+    # wider than any row of the file, too wide for an int64
+    "meta_n_features_2_63": _wide_meta(2 ** 63),
+    "meta_n_features_10_30": _wide_meta(10 ** 30),
     "meta_n_classes_string": _set_meta("n_classes", str),
     "meta_n_classes_bool": _set_meta("n_classes", lambda v: True),
     "meta_n_classes_negative_unlabeled": _set_meta("n_classes", lambda v: -1, unlabeled=True),

@@ -169,6 +169,14 @@ class TestTrain:
         assert "train.dims" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_dims_too_large_to_allocate(self, tmp_path, dataset, capsys):
+        cfg = write_config(tmp_path, dataset,
+                           train={"epochs": 1, "dims": [2 ** 63, 4, 3], "dropout": 0.0})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "enc_w1" in err
+
     @pytest.mark.parametrize("patience", [-3, 0])
     def test_patience_below_one(self, tmp_path, dataset, patience, capsys):
         cfg = write_config(tmp_path, dataset, train={"epochs": 3, "dims": [5, 4, 3],

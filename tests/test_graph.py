@@ -95,6 +95,14 @@ class TestLoadGraph:
         with pytest.raises(FormatError):
             load_graph(d)
 
+    @pytest.mark.parametrize("width", [2 ** 63 - 1, 2 ** 63, 10 ** 30])
+    def test_oversized_n_features_is_format_error(self, tmp_path, width):
+        d = write_dataset(tmp_path / "toy", 3, [(0, 1)], np.eye(3, 2))
+        meta = json.loads((d / "meta.json").read_text())
+        (d / "meta.json").write_text(json.dumps({**meta, "n_features": width}))
+        with pytest.raises(FormatError, match=f"has 2 columns, meta.json says {width}$"):
+            load_graph(d)
+
     @pytest.mark.parametrize("key", ["n_nodes", "n_features", "n_classes"])
     def test_missing_meta_key_named(self, tmp_path, key):
         d = write_dataset(tmp_path / "toy", 2, [(0, 1)], np.zeros((2, 2)))

@@ -388,6 +388,18 @@ def test_init_params_rejects_a_width_that_is_not_a_count(field, width):
     assert not isinstance(info.value, CheckpointError)
 
 
+@pytest.mark.parametrize("field, name, width", [
+    ("f_embed", "enc_w1", 2 ** 63), ("f_proj", "proj_w1", 2 ** 63),
+    ("f_filter", "filt_s", 2 ** 63), ("f_filter", "filt_s", 10 ** 400)],
+    ids=["f_embed", "f_proj", "f_filter", "f_filter_10_400"])
+def test_init_params_names_a_parameter_too_large_to_make(field, name, width):
+    # numpy refuses a dimension of 2**63 before it allocates anything, and a
+    # float cannot hold 10**400; their ValueError and OverflowError reached
+    # the CLI as tracebacks
+    with pytest.raises(ContractError, match=rf"{name} of shape \(\d+, {width}\)"):
+        init_params(np.random.default_rng(0), dataclasses.replace(DIMS, **{field: width}))
+
+
 def test_checkpoint_round_trip(tmp_path, params):
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)

@@ -252,33 +252,20 @@ class TestFusedNodes:
 
 
 class TestRows:
-    """rows(a, lo, hi) is a view; its gradient is a RowBlock, which backward
-    adds into one zero-filled array per parent."""
+    """rows(a, lo, hi) is a view; its gradient is zero outside those rows."""
 
     @staticmethod
-    def _padded_rows(a, lo, hi):
-        """The reference: rows lo:hi whose gradient is padded to a's shape."""
-        shape = a.shape
-
-        def backward(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            full[lo:hi] = g
-            return (full,)
-
-        return T._result(a.data[lo:hi], (a,), backward)
-
-    @staticmethod
-    def _loss(a, take, consts):
+    def _loss(a, consts):
         # two row blocks, one overlapping the other, and a full-shape consumer
         # between them in the walk
-        terms = [T.sum_all(T.sigmoid(T.mul(take(a, 1, 5), consts[0]))),
+        terms = [T.sum_all(T.sigmoid(T.mul(T.rows(a, 1, 5), consts[0]))),
                  T.sum_all(T.mul(T.relu(a), consts[1])),
-                 T.sum_all(T.mul(take(a, 3, 7), consts[2]))]
+                 T.sum_all(T.mul(T.rows(a, 3, 7), consts[2]))]
         return T.add(T.add(terms[0], terms[1]), terms[2])
 
     @staticmethod
-    def _consts(rng, dtype):
-        return [Tensor(rng.normal(size=shape).astype(dtype))
+    def _consts(rng):
+        return [Tensor(rng.normal(size=shape))
                 for shape in ((4, 3), (7, 3), (4, 3))]
 
     def test_forward_is_a_view(self):
@@ -289,38 +276,10 @@ class TestRows:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(41)
         a = rand_tensor(rng, (7, 3), requires_grad=True)
-        consts = self._consts(rng, np.float64)
-        backward(self._loss(a, T.rows, consts))
-        fd = _fd_grad(lambda: self._loss(a, T.rows, consts), a)
+        consts = self._consts(rng)
+        backward(self._loss(a, consts))
+        fd = _fd_grad(lambda: self._loss(a, consts), a)
         assert np.abs(a.grad - fd).max() <= 1e-6 * np.abs(fd).max()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_padded_reference(self, dtype):
-        rng = np.random.default_rng(42)
-        a0 = rng.normal(size=(7, 3)).astype(dtype)
-        consts = self._consts(rng, dtype)
-        grads = []
-        for take in (T.rows, self._padded_rows):
-            # the accumulated gradient reaches a leaf through add_scalar, which
-            # returns its output gradient itself
-            a = Tensor(a0.copy(), requires_grad=True)
-            backward(self._loss(T.add_scalar(a, 0.5), take, consts))
-            grads.append(a.grad)
-        assert grads[0].dtype == grads[1].dtype and grads[0].tobytes() == grads[1].tobytes()
-
-    def test_no_padded_array_per_consumer(self):
-        # three row blocks of a 3000 x 64 parent: one zero-filled array and
-        # the blocks; padding each block, then summing, holds three or more
-        n, f = 3000, 64
-        rng = np.random.default_rng(43)
-        a = Tensor(rng.normal(size=(n, f)), requires_grad=True)
-        loss = None
-        for lo in range(0, n, n // 3):
-            term = T.sum_all(T.rows(a, lo, lo + n // 3))
-            loss = term if loss is None else T.add(loss, term)
-        _, peak = traced_memory(lambda: backward(loss))
-        assert peak < 2 * n * f * 8
-        assert np.array_equal(a.grad, np.ones((n, f)))
 
     @pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 8)])
     def test_range_outside_the_rows_is_contract_error(self, lo, hi):
@@ -800,10 +759,6 @@ class TestOpProtocol:
             for p, entry in zip(parents, entries):
                 if entry is None:
                     assert not p.requires_grad, (op, pattern)
-                elif op == "rows":
-                    assert isinstance(entry, T.RowBlock), (op, pattern)
-                    assert (entry.lo, entry.n_rows) == (2, p.rows)
-                    assert entry.g.shape == (3, p.cols) and entry.g.dtype == p.data.dtype
                 else:
                     assert isinstance(entry, np.ndarray), (op, pattern)
                     assert entry.shape == p.shape and entry.dtype == p.data.dtype
