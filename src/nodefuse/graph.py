@@ -218,7 +218,8 @@ def _check_squared_norms(x, locate_non_finite: bool = False):
 def features_as(g: Graph, dtype):
     """`g.x` cast to `dtype`, in the form the encoders take it: a dense array,
     or a sparse matrix and no dense copy; a row whose squared norm overflows
-    `dtype` is a FormatError.
+    `dtype` is a FormatError. A sparse cast makes new values only: it shares
+    g.x's index arrays, which nothing writes.
 
     Sparse features wider than tall are given in CSC form: x @ enc_w1 then
     scatters into the short N-row output and its backward's x.T @ g is a
@@ -227,8 +228,11 @@ def features_as(g: Graph, dtype):
     and 20 ms as dense GEMMs; at c8's shape (5000 x 1000) the CSR gather
     x.T @ g took 20 ms, the CSC view's scatter 6.6 ms.
     """
+    x = g.x
     with np.errstate(over="ignore"):
-        x = g.x.astype(dtype, copy=False)
+        if sp.issparse(x) and x.dtype != dtype:
+            x = sp.csr_matrix((x.data.astype(dtype), x.indices, x.indptr), shape=x.shape)
+        x = x.astype(dtype, copy=False)
     _check_squared_norms(x)
     return x.tocsc() if sp.issparse(x) and x.shape[1] > x.shape[0] else x
 

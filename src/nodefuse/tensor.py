@@ -348,8 +348,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 _ROW_BLOCK = 512
 
 
-def _exp_tiles(left, right, buf, symmetric: bool, diag=None):
-    """Yield (lo, hi, tile) with tile = exp(left[lo:hi] @ right[k:].T),
+def _exp_tiles(left, right, scale, buf, symmetric: bool, diag=None):
+    """Yield (lo, hi, tile) with tile = exp((left[lo:hi] * scale) @ right[k:].T),
     computed in place in `buf`, for each row block lo:hi of _ROW_BLOCK rows.
 
     A symmetric block takes only its columns k = lo onwards; any other
@@ -362,7 +362,7 @@ def _exp_tiles(left, right, buf, symmetric: bool, diag=None):
         hi = min(lo + _ROW_BLOCK, n)
         k = lo if symmetric else 0
         tile = buf[:(hi - lo) * (n - k)].reshape(hi - lo, n - k)
-        np.matmul(left[lo:hi], right[k:].T, out=tile)
+        np.matmul(left[lo:hi] * scale, right[k:].T, out=tile)
         if diag is not None:
             diag[lo:hi] = np.diagonal(tile, lo - k)
         np.exp(tile, out=tile)
@@ -395,6 +395,8 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     E_za), which returns E_zz @ xz + E_za @ xa and E_aa @ xa + E_za^T @ xz.
     It makes them a tile of _ROW_BLOCK rows at a time in one reused buffer,
     each tile by one GEMM already scaled and shifted, [t*zn, -t] @ [x, 1]^T,
+    whose left factor is made for the tile's rows alone, from the [zn, 1]
+    that the walk keeps, as [zn, 1][lo:hi] * [t, ..., t, -t],
     and one in-place exp. A tile of the symmetric self blocks covers only
     the columns from its first row on: it credits its rows, and its
     transpose right of its diagonal square credits those columns. The cross
@@ -408,7 +410,7 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     denominator so small that t / denominator overflows (every term of its
     row underflowed) makes the loss NaN, with no warning.
 
-    Backward: the tiles are recomputed, not stored, and so are the GEMM
+    Backward: the tiles are recomputed, not stored, and so are the [x, 1]
     operands, which the tape does not keep: it holds only zn, an and
     N-vectors. With per-row weights w = t / (row denominator), the gradient
     through a symmetric self block E is (E * (w_i + w_j)) @ x; the weights
@@ -428,27 +430,22 @@ def ntxent_view(zn: Tensor, an: Tensor, inv_tau: float) -> Tensor:
     dt = z.dtype
     ct = dt.type(t)
     ones = np.ones((n, 1), dtype=dt)
-
-    def gemm_operands(x):
-        x1 = np.hstack([x, ones])
-        xt = x1 * ct
-        xt[:, d] = -ct
-        return xt, x1           # [t*x, -t] and [x, 1]
+    scale = np.full(d + 1, ct, dtype=dt)
+    scale[d] = -ct              # [t, ..., t, -t]
 
     def walk(xz, xa, diag=None, w_fwd=None, w_bwd=None):
-        zt, z1 = gemm_operands(z)
-        at, a1 = gemm_operands(a)
+        z1, a1 = np.hstack([z, ones]), np.hstack([a, ones])
         buf = np.empty(min(n, _ROW_BLOCK) * n, dtype=dt)
         pz = np.zeros_like(xz)
         pa = np.zeros_like(xa)
         col = np.empty_like(xz)     # each tile's column credits, then added
-        for left, right, x, w, p in ((zt, z1, xz, w_fwd, pz), (at, a1, xa, w_bwd, pa)):
-            for lo, hi, tile in _exp_tiles(left, right, buf, symmetric=True):
+        for x1, x, w, p in ((z1, xz, w_fwd, pz), (a1, xa, w_bwd, pa)):
+            for lo, hi, tile in _exp_tiles(x1, x1, scale, buf, symmetric=True):
                 if w is not None:
                     _fold(tile, w[lo:hi], w[lo:])
                 p[lo:hi] += tile @ x[lo:]
                 p[hi:] += np.matmul(tile[:, hi - lo:].T, x[lo:hi], out=col[hi:])
-        for lo, hi, tile in _exp_tiles(zt, a1, buf, symmetric=False, diag=diag):
+        for lo, hi, tile in _exp_tiles(z1, a1, scale, buf, symmetric=False, diag=diag):
             if w_fwd is not None:
                 _fold(tile, w_fwd[lo:hi], w_bwd)
             pz[lo:hi] += tile @ xa

@@ -136,8 +136,8 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
     # the feature mask is drawn as a row, which first_layer_product applies
     # to a sparse x's entries or to the rows of enc_w1
     keep = mask_features(np.ones((1, x.shape[1]), dtype=cfg.dtype), cfg.augment.p_s, aug_rng)
-    g_aug = drop_edges(g, cfg.augment.p_c, aug_rng)
-    adj_aug = normalized_adjacency_sparse(g_aug).astype(cfg.dtype)
+    adj_aug = normalized_adjacency_sparse(
+        drop_edges(g, cfg.augment.p_c, aug_rng)).astype(cfg.dtype)
     masks = [_dropout_mask(drop_rng, (g.n_nodes, params.dims.f_embed),
                            cfg.dropout, cfg.dtype) for _ in range(4)]
 
@@ -156,7 +156,8 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
                            (fuse(h_s, h_c, lam), fuse(h_s_aug, h_c_aug, lam))),
                           params, cfg.contrast)
     # backward frees each op's arrays as it walks past, unless a name here
-    # still holds them
+    # still holds them: x, adj, adj_aug, keep, the dropout masks and lam live
+    # through it; the edge-dropped Graph was never named, so it is gone
     del encoded, h_s, h_s_aug, h_c, h_c_aug
     loss = total.item()
     if not np.isfinite(loss):   # each term is >= 0: the sum is finite iff each is

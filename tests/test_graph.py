@@ -309,10 +309,13 @@ class TestFeatureStorage:
                 build_graph(10, [(0, 1)], feats)
 
     def test_features_as_casts_csr_without_a_dense_copy(self):
+        # nor a copy of the index arrays, which training holds throughout
         g = random_graph(np.random.default_rng(4), n=40, f=30, word_rate=0.03)
         x = features_as(g, np.float32)
         assert sp.issparse(x) and x.format == "csr" and x.dtype == np.float32
         assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+        assert np.shares_memory(x.indices, g.x.indices)
+        assert np.shares_memory(x.indptr, g.x.indptr)
         assert features_as(g, np.float64) is g.x
 
     def test_features_as_gives_wide_sparse_features_in_csc_form(self):

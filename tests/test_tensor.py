@@ -584,8 +584,8 @@ class TestNtxentView:
         assert peak < n * n * z.itemsize
 
     def test_tape_keeps_no_gemm_operand(self):
-        # the tape holds zn, an and a few N-vectors; the walk's operands
-        # [t*x, -t] and [x, 1] (N x (d+1) each) are rebuilt by the backward
+        # the tape holds zn, an and a few N-vectors; the walk's [x, 1]
+        # operands (N x (d+1) each) are rebuilt by the backward
         n, d = 2 * B + 3, 16
         rng = np.random.default_rng(34)
         zn = Tensor(unit_rows(rng, n, d), requires_grad=True)
@@ -594,17 +594,17 @@ class TestNtxentView:
         assert held < n * (d + 1) * 8
 
     def test_backward_credits_are_d_wide(self):
-        # beyond one (B, N) tile, the backward holds at most the four
-        # rebuilt operands, the two N x d credits and one N x d column
-        # credit, about 7 N x d; credits of [x, w x] operands, N x 2d each,
-        # would take it to 10 N x d
+        # beyond one (B, N) tile, the backward holds at most the two rebuilt
+        # [x, 1] operands, the two N x d credits and one N x d column
+        # credit, about 5 N x d; the scaled left factors [t*x, -t], made
+        # whole rather than a row block at a time, would take it to 7 N x d
         n, d = 2 * B + 3, 64
         rng = np.random.default_rng(35)
         zn = Tensor(unit_rows(rng, n, d), requires_grad=True)
         an = Tensor(unit_rows(rng, n, d), requires_grad=True)
         loss = T.ntxent_view(zn, an, 2.0)
         _, peak = traced_memory(lambda: backward(loss))
-        assert peak < (B * n + 8.5 * n * d) * 8
+        assert peak < (B * n + 6 * n * d) * 8
 
 
 class TestAdam:

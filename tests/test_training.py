@@ -354,6 +354,29 @@ def test_contrast_step_keeps_no_copy_of_the_features():
         assert peak < g.n_nodes * g.n_features * 8 / 2
 
 
+def test_contrast_step_drops_the_augmented_graph_before_backward(graph, monkeypatch):
+    # the backward reads only adj_aug; the Graph that drop_edges returns, an
+    # edge array as long as the source's, must not live through the walk
+    refs, alive = [], []
+    monkeypatch.setattr(training, "drop_edges", _recording(
+        training.drop_edges, lambda g_aug: refs.append(weakref.ref(g_aug))))
+    backward = T.backward
+
+    def checked_backward(loss):
+        alive.append([r() is not None for r in refs])
+        return backward(loss)
+
+    monkeypatch.setattr(T, "backward", checked_backward)
+    cfg = small_cfg()
+    params = training.init_params(np.random.default_rng(5),
+                                  training.ModelDims(graph.n_features, *cfg.dims))
+    x, adj = training._inputs(graph, np.float64)
+    aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
+    training._contrast_step(graph, cfg, params, T.AdamState(), x, adj,
+                            aug_rng, drop_rng, epoch=1)
+    assert alive == [[False]]
+
+
 def test_clean_views_build_no_tape():
     # the controller step and embed encode with constant weights: the
     # encodings are the ones the parameters give, but no tape holds them
