@@ -102,8 +102,9 @@ def view_loss(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
 
 def contrast_loss(pairs, params: ModelParams, cfg: ContrastConfig) -> Tensor:
     """Weighted sum of the view losses of the semantic, contextual and fusion
-    (clean, perturbed) encoding `pairs`, weighted 1 (0 without
-    `include_semantic`), `beta1` and `beta2`; a zero weight skips its term."""
+    (clean, perturbed) `pairs`, weighted 1 (0 without `include_semantic`),
+    `beta1` and `beta2`; a zero weight skips its term. Each pair holds the
+    projector's inputs h @ proj_w1 of two encodings h, as `project` takes them."""
     if len(pairs) != 3:
         raise ContractError(f"contrast_loss takes 3 encoding pairs, got {len(pairs)}")
     total = None

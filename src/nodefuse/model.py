@@ -151,12 +151,26 @@ def _drop_columns(x: sp.spmatrix, kept: np.ndarray) -> sp.spmatrix:
     return type(x)((x.data[entry], x.indices[entry], indptr), shape=x.shape)
 
 
-def _encode(params: ModelParams, x, adj, dropout: tuple | None,
-            xw: Tensor | None) -> Tensor:
+def hidden_layer(params: ModelParams, x, adj,
+                 dropout: tuple[np.ndarray, float] | None = None, *,
+                 xw: Tensor | None = None) -> Tensor:
+    """The encoders' hidden layer relu(agg(x @ enc_w1)), where agg is the
+    normalized adjacency `adj`, or no mixing when `adj` is None.
+
+    `x` is as `first_layer_product` takes it. `dropout` is a (boolean keep
+    mask, scale) pair for the hidden layer, as `T.relu` takes them. `xw` is
+    `first_layer_product(params, x)` when the caller already has it.
+    """
     if xw is None:
         xw = first_layer_product(params, x)
-    h = T.relu(_aggregate(adj, xw), *(dropout or ()))
-    return _aggregate(adj, T.matmul(h, params.enc_w2))
+    return T.relu(_aggregate(adj, xw), *(dropout or ()))
+
+
+def second_layer(h: Tensor, w: Tensor, adj) -> Tensor:
+    """agg(h @ w): the encoders' output with w = enc_w2. Since agg, the
+    fusion and the projector's first layer are linear, the projector's input
+    h @ enc_w2 @ proj_w1 is this with w = enc_w2 @ proj_w1."""
+    return _aggregate(adj, T.matmul(h, w))
 
 
 def encode_semantic(params: ModelParams, x,
@@ -164,11 +178,9 @@ def encode_semantic(params: ModelParams, x,
                     xw: Tensor | None = None) -> Tensor:
     """Per-node encoding with an identity adjacency: no cross-node mixing.
 
-    `x` is as `first_layer_product` takes it. `dropout` is a (boolean keep
-    mask, scale) pair for the hidden layer, as `T.relu` takes them. `xw` is
-    `first_layer_product(params, x)` when the caller already has it.
+    `x`, `dropout` and `xw` are as `hidden_layer` takes them.
     """
-    return _encode(params, x, None, dropout, xw)
+    return second_layer(hidden_layer(params, x, None, dropout, xw=xw), params.enc_w2, None)
 
 
 def encode_contextual(params: ModelParams, x, adj_hat,
@@ -178,11 +190,14 @@ def encode_contextual(params: ModelParams, x, adj_hat,
 
     `dropout` and `xw` are as in `encode_semantic`.
     """
-    return _encode(params, x, adj_hat, dropout, xw)
+    h = hidden_layer(params, x, adj_hat, dropout, xw=xw)
+    return second_layer(h, params.enc_w2, adj_hat)
 
 
-def project(params: ModelParams, h: Tensor) -> Tensor:
-    z = T.relu(T.add(T.matmul(h, params.proj_w1), params.proj_b1))
+def project(params: ModelParams, a: Tensor) -> Tensor:
+    """The projection head on its input a = h @ proj_w1, an N x f_proj
+    Tensor: relu(a + proj_b1) @ proj_w2 + proj_b2."""
+    z = T.relu(T.add(a, params.proj_b1))
     return T.add(T.matmul(z, params.proj_w2), params.proj_b2)
 
 

@@ -15,7 +15,8 @@ from .graph import Graph, features_as, normalized_adjacency_sparse
 from .losses import (ContrastConfig, ControllerConfig, contrast_loss,
                      controller_loss)
 from .model import (ModelDims, ModelParams, controller_lambda, encode_contextual,
-                    encode_semantic, first_layer_product, fuse, init_params)
+                    encode_semantic, first_layer_product, fuse, hidden_layer,
+                    init_params, second_layer)
 from . import tensor as T
 from .tensor import AdamState, Tensor, adam_step
 
@@ -86,12 +87,27 @@ class TrainReport:
         return "".join(r.to_json() + "\n" for r in self.records)
 
 
+_MASK_BLOCK = 2 ** 15     # uniforms per row block of a dropout mask: 256 KB of float64
+
+
 def _dropout_mask(rng: np.random.Generator, shape, rate: float,
                   dtype) -> tuple[np.ndarray, float] | None:
-    """A boolean keep mask and the kept entries' scale, or None at rate 0."""
+    """A boolean keep mask and the kept entries' scale, or None at rate 0.
+
+    The uniforms are drawn a row block at a time into one small buffer; the
+    mask, and the state `rng` is left in, are those of `rng.random(shape)`.
+    """
     if rate == 0.0:
         return None
-    return rng.random(shape) >= rate, dtype(1) / dtype(1 - rate)
+    n, cols = shape
+    keep = np.empty(shape, dtype=bool)
+    step = max(1, _MASK_BLOCK // cols)
+    buf = np.empty((min(step, n), cols))
+    for lo in range(0, n, step):
+        block = buf[:min(step, n - lo)]
+        rng.random(out=block)
+        np.greater_equal(block, rate, out=keep[lo:lo + len(block)])
+    return keep, dtype(1) / dtype(1 - rate)
 
 
 def _step(params: dict, state: AdamState, lr: float):
@@ -122,12 +138,21 @@ def _clean_views(params: ModelParams, x, adj) -> tuple[Tensor, Tensor]:
             encode_contextual(params, x, adj, xw=xw))
 
 
-def _fusion_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor, degree,
+def _fusion_lambda(params: ModelParams, views, g: Graph,
                    fixed_lambda: float | None) -> Tensor:
-    """The N x 1 fusion weight as a constant: `fixed_lambda`, else the controller's."""
+    """The N x 1 fusion weight as a constant: `fixed_lambda`, else the
+    controller's on the semantic and contextual encodings `views()` makes."""
     if fixed_lambda is not None:
-        return Tensor(np.full((h_s.rows, 1), fixed_lambda, dtype=h_s.data.dtype))
-    return controller_lambda(params, h_s, h_c, degree).lam.detach()
+        return Tensor(np.full((g.n_nodes, 1), fixed_lambda, dtype=params.enc_w1.data.dtype))
+    return controller_lambda(params, *views(), g.degree).lam.detach()
+
+
+def _dropout_views(params: ModelParams, h_s: Tensor, h_c: Tensor, adj) -> tuple[Tensor, Tensor]:
+    """The encodings of the semantic and contextual hidden layers `h_s` and
+    `h_c`, made with constant arrays, so no tape is kept."""
+    enc_w2 = Tensor(params.enc_w2.data)
+    return (second_layer(Tensor(h_s.data), enc_w2, None),
+            second_layer(Tensor(h_c.data), enc_w2, adj))
 
 
 def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamState,
@@ -142,23 +167,29 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
                            cfg.dropout, cfg.dtype) for _ in range(4)]
 
     xw, xw_masked = first_layer_product(params, x, keep)
-    encoded = [encode_semantic(params, x, masks[0], xw=xw),
-               encode_semantic(params, x, masks[1], xw=xw_masked),
-               encode_contextual(params, x, adj, masks[2], xw=xw),
-               encode_contextual(params, x, adj_aug, masks[3], xw=xw)]
-    # no backward reads the products or the aggregations between them and
-    # the encodings, so dropping them frees them all (for sparse x, the
-    # stacked product both are views of)
+    # semantic, feature-masked semantic, contextual and edge-dropped contextual
+    aggs = (None, None, adj, adj_aug)
+    hidden = [hidden_layer(params, x, agg, mask, xw=xw_view) for agg, mask, xw_view
+              in zip(aggs, masks, (xw, xw_masked, xw, xw))]
+    # no backward reads the first-layer products or the aggregations of them,
+    # so dropping them frees them all (for sparse x, the stacked product both
+    # are views of)
     del xw, xw_masked
-    h_s, h_s_aug, h_c, h_c_aug = encoded
-    lam = _fusion_lambda(params, h_s, h_c, g.degree, cfg.fixed_lambda)
-    total = contrast_loss(((h_s, h_s_aug), (h_c, h_c_aug),
-                           (fuse(h_s, h_c, lam), fuse(h_s_aug, h_c_aug, lam))),
+    lam = _fusion_lambda(params, lambda: _dropout_views(params, hidden[0], hidden[2], adj),
+                         g, cfg.fixed_lambda)
+    # the head reads each encoding h only as h @ proj_w1, and agg, fuse and
+    # that product are linear: so the projector's inputs are agg(H @ w), with
+    # w = enc_w2 @ proj_w1, and no N x f_embed encoding is made
+    w = T.matmul(params.enc_w2, params.proj_w1)
+    a_s, a_s_aug, a_c, a_c_aug = (second_layer(h, w, agg) for h, agg in zip(hidden, aggs))
+    total = contrast_loss(((a_s, a_s_aug), (a_c, a_c_aug),
+                           (fuse(a_s, a_c, lam), fuse(a_s_aug, a_c_aug, lam))),
                           params, cfg.contrast)
     # backward frees each op's arrays as it walks past, unless a name here
-    # still holds them: x, adj, adj_aug, keep, the dropout masks and lam live
-    # through it; the edge-dropped Graph was never named, so it is gone
-    del encoded, h_s, h_s_aug, h_c, h_c_aug
+    # still holds them: x, adj, adj_aug, keep, lam and the dropout masks live
+    # through it, and the hidden layers until the walk reaches them; the
+    # edge-dropped Graph was never named, so it is gone
+    del hidden, a_s, a_s_aug, a_c, a_c_aug
     loss = total.item()
     if not np.isfinite(loss):   # each term is >= 0: the sum is finite iff each is
         raise TrainingDiverged(epoch, "contrast")
@@ -245,5 +276,5 @@ def embed(g: Graph, params: ModelParams, fixed_lambda: float | None = None) -> T
         check_range("fixed_lambda", fixed_lambda, 0, 1, hi_open=False)
     x, adj = _inputs(g, params.enc_w1.data.dtype)
     h_s, h_c = _clean_views(params, x, adj)
-    lam = _fusion_lambda(params, h_s, h_c, g.degree, fixed_lambda)
+    lam = _fusion_lambda(params, lambda: (h_s, h_c), g, fixed_lambda)
     return fuse(h_s, h_c, lam)      # of constants, so it has no tape

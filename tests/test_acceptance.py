@@ -19,6 +19,7 @@ from nodefuse import (AugmentConfig, ContrastConfig, ControllerConfig,
                       mask_features, nmi, ntxent_pair_loss, train, view_loss)
 from nodefuse.cli import main
 from nodefuse.graph import normalized_adjacency_sparse
+from nodefuse import tensor as T
 from nodefuse.tensor import AdamState
 from nodefuse.training import _step
 
@@ -51,6 +52,11 @@ def _fd_max_rel_err(param_dict, loss_fn, h=1e-5):
     return worst
 
 
+def _heads(params, pairs):
+    """The projector inputs h @ proj_w1 of encoding pairs, as contrast_loss takes them."""
+    return tuple(tuple(T.matmul(h, params.proj_w1) for h in pair) for pair in pairs)
+
+
 def test_criterion_1_gradient_correctness():
     worst_contrast = 0.0
     worst_controller = 0.0
@@ -75,9 +81,8 @@ def test_criterion_1_gradient_correctness():
             h_sa = encode_semantic(params, x_aug)
             h_c = encode_contextual(params, x, adj)
             h_ca = encode_contextual(params, x, adj_aug)
-            return contrast_loss(((h_s, h_sa), (h_c, h_ca),
-                                  (fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam))),
-                                 params, ccfg)
+            pairs = ((h_s, h_sa), (h_c, h_ca), (fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam)))
+            return contrast_loss(_heads(params, pairs), params, ccfg)
 
         worst_contrast = max(worst_contrast,
                              _fd_max_rel_err(params.contrast_params(), closs))
@@ -114,7 +119,7 @@ def test_criterion_2_loss_oracle_equivalence():
         h = {k: mk() for k in ("s", "sa", "c", "ca", "f", "fa")}
         pairs = [(Tensor(h[k]), Tensor(h[k + "a"])) for k in ("s", "c", "f")]
         b1, b2 = float(rng.uniform(0, 2)), float(rng.uniform(0, 2))
-        got = contrast_loss(pairs, params, ContrastConfig(tau=tau, beta1=b1, beta2=b2)).item()
+        got = contrast_loss(_heads(params, pairs), params, ContrastConfig(tau=tau, beta1=b1, beta2=b2)).item()
 
         def proj(a):
             hidden = np.maximum(a @ params.proj_w1.data + params.proj_b1.data, 0.0)

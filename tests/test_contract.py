@@ -14,7 +14,8 @@ from nodefuse.graph import normalized_adjacency_sparse
 N, F = 6, 4
 _rng = np.random.default_rng(0)
 X = _rng.normal(size=(N, F))                 # features, embeddings
-Z = _rng.normal(size=(N, 3))                 # encodings, as the projector takes them
+Z = _rng.normal(size=(N, 3))                 # encodings
+A = Z[:, :2].copy()                          # projector inputs h @ proj_w1, as project takes them
 LAM = _rng.uniform(0.1, 0.9, size=(N, 1))
 Y = np.array([0, 1, 2, 0, 1, 2])
 EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
@@ -44,7 +45,7 @@ def _rng_():
 ARRAYS = {
     "Tensor": (X, _t),
     "view_loss.z": (Z, lambda a: nf.view_loss(_t(a), _t(Z[::-1].copy()), 0.5)),
-    "project": (Z, lambda a: nf.project(_params(), _t(a))),
+    "project": (A, lambda a: nf.project(_params(), _t(a))),
     "fuse.h_s": (Z, lambda a: nf.fuse(_t(a), _t(Z), _t(LAM))),
     "fuse.lam": (LAM, lambda a: nf.fuse(_t(Z), _t(Z), _t(a))),
     "encode_semantic": (X, lambda a: nf.encode_semantic(_params(), _t(a))),
@@ -55,7 +56,7 @@ ARRAYS = {
                                                                         _t(Z), a)),
     "controller_loss.lam": (LAM, lambda a: nf.controller_loss(_t(a), _t(Z), _t(Z),
                                                               nf.ControllerConfig())),
-    "contrast_loss": (Z, lambda a: nf.contrast_loss(((_t(a), _t(Z)),) * 3, _params(),
+    "contrast_loss": (A, lambda a: nf.contrast_loss(((_t(a), _t(A)),) * 3, _params(),
                                                     nf.ContrastConfig())),
     "mask_features": (X, lambda a: nf.mask_features(a, 0.3, _rng_())),
     "ntxent_pair_loss.z": (Z, lambda a: nf.ntxent_pair_loss(a, Z, 0, 0.5)),

@@ -127,6 +127,8 @@ class TestViewLoss:
 
 class TestContrastLoss:
     def _setup(self, seed, n=5):
+        """Params, the encoding pairs, and the pairs of their projector
+        inputs h @ proj_w1, as contrast_loss takes them."""
         rng = np.random.default_rng(seed)
         dims = ModelDims(f_in=6, f_embed=5, f_proj=4, f_filter=3)
         params = init_params(rng, dims)
@@ -134,30 +136,31 @@ class TestContrastLoss:
         h_s, h_sa, h_c, h_ca = mk(), mk(), mk(), mk()
         lam = Tensor(rng.uniform(0.1, 0.9, size=(n, 1)))
         pairs = ((h_s, h_sa), (h_c, h_ca), (fuse(h_s, h_c, lam), fuse(h_sa, h_ca, lam)))
-        return params, pairs
+        heads = tuple(tuple(T.matmul(h, params.proj_w1) for h in pair) for pair in pairs)
+        return params, pairs, heads
 
     def test_beta_zero_equals_semantic_alone(self):
-        params, pairs = self._setup(0)
+        params, _, heads = self._setup(0)
         cfg = ContrastConfig(tau=0.5, beta1=0.0, beta2=0.0)
-        total = contrast_loss(pairs, params, cfg).item()
-        (h_s, h_s_aug), _, _ = pairs
-        ls = view_loss(project(params, h_s), project(params, h_s_aug), 0.5).item()
+        total = contrast_loss(heads, params, cfg).item()
+        (a_s, a_s_aug), _, _ = heads
+        ls = view_loss(project(params, a_s), project(params, a_s_aug), 0.5).item()
         assert total == ls
 
     def test_equals_weighted_sum_of_views(self):
-        params, pairs = self._setup(1)
+        params, _, heads = self._setup(1)
         cfg = ContrastConfig(tau=0.7, beta1=0.3, beta2=2.0)
-        total = contrast_loss(pairs, params, cfg).item()
-        (h_s, h_s_aug), (h_c, h_c_aug), (h_f, h_f_aug) = pairs
-        ls = view_loss(project(params, h_s), project(params, h_s_aug), 0.7).item()
-        lc = view_loss(project(params, h_c), project(params, h_c_aug), 0.7).item()
-        lf = view_loss(project(params, h_f), project(params, h_f_aug), 0.7).item()
+        total = contrast_loss(heads, params, cfg).item()
+        (a_s, a_s_aug), (a_c, a_c_aug), (a_f, a_f_aug) = heads
+        ls = view_loss(project(params, a_s), project(params, a_s_aug), 0.7).item()
+        lc = view_loss(project(params, a_c), project(params, a_c_aug), 0.7).item()
+        lf = view_loss(project(params, a_f), project(params, a_f_aug), 0.7).item()
         assert abs(total - (ls + 0.3 * lc + 2.0 * lf)) < 1e-12
 
     def test_matches_full_scalar_oracle(self):
-        params, pairs = self._setup(2)
+        params, pairs, heads = self._setup(2)
         cfg = ContrastConfig(tau=0.5, beta1=0.4, beta2=1.1)
-        total = contrast_loss(pairs, params, cfg).item()
+        total = contrast_loss(heads, params, cfg).item()
         (h_s, h_s_aug), (h_c, h_c_aug), (h_f, h_f_aug) = pairs
 
         def proj(h):
@@ -171,9 +174,9 @@ class TestContrastLoss:
         assert abs(total - expect) < 1e-9
 
     def test_all_terms_disabled_rejected(self):
-        params, pairs = self._setup(3)
+        params, _, heads = self._setup(3)
         with pytest.raises(ContractError):
-            contrast_loss(pairs, params, ContrastConfig(include_semantic=False,
+            contrast_loss(heads, params, ContrastConfig(include_semantic=False,
                                                         beta1=0.0, beta2=0.0))
 
 
@@ -291,7 +294,8 @@ class TestGradientIsolation:
         lam_const = weights.lam.detach()
         pairs = ((h_s, h_s), (h_c, h_c),
                  (fuse(h_s, h_c, lam_const), fuse(h_s, h_c, lam_const)))
-        backward(contrast_loss(pairs, params, ContrastConfig()))
+        heads = tuple(tuple(T.matmul(h, params.proj_w1) for h in pair) for pair in pairs)
+        backward(contrast_loss(heads, params, ContrastConfig()))
         for t in params.controller_params().values():
             assert t.grad is None
         assert params.enc_w1.grad is not None
@@ -318,7 +322,7 @@ def _sizes(*sizes):
     (lambda p: fuse(_zeros(7, 6), _zeros(7, 9), _zeros(7, 1)), _sizes(6, 9)),
     (lambda p: view_loss(_zeros(1, 6), _zeros(1, 6), 0.5), ("at least 2",)),
     (lambda p: view_loss(_zeros(7, 6), _zeros(7, 9), 0.5), _sizes(6, 9)),
-    (lambda p: project(p, _zeros(7, 9)), _sizes(6, 9)),
+    (lambda p: project(p, _zeros(7, 9)), _sizes(4, 9)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(5, 6), np.ones(7)), _sizes(7, 5)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 9), np.ones(7)), _sizes(6, 9)),
     (lambda p: controller_lambda(p, _zeros(7, 6), _zeros(7, 6), np.ones(5)), _sizes(5, 7)),

@@ -97,21 +97,22 @@ class TestEncodeContextual:
 
 
 class TestProject:
+    # project takes the head's input h @ proj_w1, N x f_proj
     def test_identical_rows(self, params):
         rng = np.random.default_rng(7)
-        row = rng.normal(size=5)
+        row = rng.normal(size=4)
         out = project(params, Tensor(np.stack([row, row])))
         assert np.array_equal(out.data[0], out.data[1])
 
     def test_zero_weights_zero_output(self):
         p = zero_params()
-        out = project(p, Tensor(np.random.default_rng(8).normal(size=(3, 5))))
+        out = project(p, Tensor(np.random.default_rng(8).normal(size=(3, 4))))
         assert np.array_equal(out.data, np.zeros((3, 4)))
 
     def test_matches_scalar_oracle(self, params):
         rng = np.random.default_rng(9)
         h = rng.normal(size=(4, 5))
-        out = project(params, Tensor(h)).data
+        out = project(params, T.matmul(Tensor(h), params.proj_w1)).data
         w1, b1 = params.proj_w1.data, params.proj_b1.data
         w2, b2 = params.proj_w2.data, params.proj_b2.data
         for i in range(4):

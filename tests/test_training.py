@@ -13,7 +13,7 @@ from nodefuse import losses, training
 from nodefuse import tensor as T
 from nodefuse.errors import ContractError, FormatError
 from nodefuse.losses import contrast_loss
-from nodefuse.model import fuse
+from nodefuse.model import controller_lambda, fuse
 
 from conftest import random_graph, traced_memory
 
@@ -111,12 +111,27 @@ class TestSplitBackward:
         # both views' first-layer products are row views of one stacked product
         self._check_summed_gradients(bow_graph, monkeypatch, include, lam)
 
+    @pytest.mark.parametrize("lam", [RANDOM_LAMBDA, None])
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_gradients_match_summed_loss_without_dropout(self, graph, bow_graph,
+                                                         monkeypatch, csr, lam):
+        # at rate 0 the step's masks are None, and the hidden layers plain relus
+        self._check_summed_gradients(bow_graph if csr else graph, monkeypatch,
+                                     (True, True, True), lam, dropout=0.0)
+
     @staticmethod
-    def _check_summed_gradients(graph, monkeypatch, include, lam):
-        cfg = small_cfg(epochs=1, fixed_lambda=lam, contrast=ContrastConfig(
-            include_semantic=include[0], beta1=float(include[1]), beta2=float(include[2])))
-        encoder_calls, products, fuse_lams, made, checked = [], [], [], [], []
-        product = training.first_layer_product
+    def _check_summed_gradients(graph, monkeypatch, include, lam, dropout=0.2):
+        """The step contrasts agg(H @ (enc_w2 @ proj_w1)) for each hidden layer
+        H; the reference builds the encodings h = agg(H @ enc_w2) from the
+        step's own masks and first-layer products, fuses them, and projects
+        h @ proj_w1. Their gradients agree up to rounding, and the step's
+        lambda is the controller's on the reference's encodings, bit for bit."""
+        cfg = small_cfg(epochs=1, fixed_lambda=lam, dropout=dropout,
+                        contrast=ContrastConfig(include_semantic=include[0],
+                                                beta1=float(include[1]),
+                                                beta2=float(include[2])))
+        hidden_calls, products, fuse_lams, made, checked = [], [], [], [], []
+        product, hidden_layer = training.first_layer_product, training.hidden_layer
 
         def views(out):
             # the clean product alone, or the clean and the masked view's
@@ -127,33 +142,45 @@ class TestSplitBackward:
             products.extend((view, args, k) for k, view in enumerate(views(out)))
             return out
 
-        def recording_encoder(encode):
-            def wrapper(*args, **kwargs):
-                encoder_calls.append((encode, args, kwargs["xw"]))
-                return encode(*args, **kwargs)
-            return wrapper
+        def recording_hidden(params, x, agg, mask, *, xw):
+            hidden_calls.append((x, agg, mask, xw))
+            return hidden_layer(params, x, agg, mask, xw=xw)
 
-        def recording_fuse(h_s, h_c, lam_t):
+        def recording_fuse(a_s, a_c, lam_t):
             fuse_lams.append(lam_t)
-            return fuse(h_s, h_c, lam_t)
+            return fuse(a_s, a_c, lam_t)
 
-        def fresh_encoding(encode, args, xw):
+        def reference_encoding(params, x, agg, mask, xw):
             # the step's tape is walked, so the reference builds its own
             xw_args, k = next((a, k) for view, a, k in products if view is xw)
-            return encode(*args, xw=views(product(*xw_args))[k])
+            xw = views(product(*xw_args))[k]
+            if agg is None:
+                return encode_semantic(params, x, mask, xw=xw)
+            return training.encode_contextual(params, x, agg, mask, xw=xw)
 
         real_step = training._step
 
         def checking_step(group, state, lr):
             if "enc_w1" in group:
+                params = made[0]
                 step = {name: t.grad.copy() for name, t in group.items()}
                 for t in group.values():
                     t.grad = None
-                h_s, h_s_aug, h_c, h_c_aug = (fresh_encoding(*c) for c in encoder_calls[:4])
+                assert len(hidden_calls) == 4
+                assert all((mask is None) == (dropout == 0.0)
+                           for _, _, mask, _ in hidden_calls)
+                h_s, h_s_aug, h_c, h_c_aug = (reference_encoding(params, *c)
+                                              for c in hidden_calls)
                 lam_t = fuse_lams[0]
+                if lam is None:
+                    expect = controller_lambda(params, h_s, h_c, graph.degree).lam.data
+                    assert lam_t.data.tobytes() == expect.tobytes()
+                else:
+                    assert np.all(lam_t.data == lam)
                 pairs = ((h_s, h_s_aug), (h_c, h_c_aug),
                          (fuse(h_s, h_c, lam_t), fuse(h_s_aug, h_c_aug, lam_t)))
-                backward(contrast_loss(pairs, made[0], cfg.contrast))
+                heads = [tuple(T.matmul(h, params.proj_w1) for h in pair) for pair in pairs]
+                backward(contrast_loss(heads, params, cfg.contrast))
                 for name, t in group.items():
                     scale = np.abs(t.grad).max()
                     assert scale > 0.0, name
@@ -162,8 +189,7 @@ class TestSplitBackward:
             real_step(group, state, lr)
 
         monkeypatch.setattr(training, "first_layer_product", recording_product)
-        for name in ("encode_semantic", "encode_contextual"):
-            monkeypatch.setattr(training, name, recording_encoder(getattr(training, name)))
+        monkeypatch.setattr(training, "hidden_layer", recording_hidden)
         monkeypatch.setattr(training, "fuse", recording_fuse)
         monkeypatch.setattr(training, "init_params",
                             _recording(training.init_params, made.append))
@@ -173,8 +199,10 @@ class TestSplitBackward:
 
     def test_encoder_backward_runs_once_per_epoch(self, graph, bow_graph, monkeypatch):
         # the first layer is a matmul on dense features and an spmm on CSR ones
+        f_embed, f_proj = SMALL["dims"][:2]
         for g, first_op in ((graph, "matmul"), (bow_graph, "spmm")):
-            counts = {"spmm": 0, f"first_layer_{first_op}": 0}
+            counts = {f"spmm_{f_embed}": 0, f"spmm_{f_proj}": 0,
+                      f"first_layer_{first_op}": 0, "head_input": 0, "fold": 0}
 
             def bump(key):
                 counts[key] += 1
@@ -182,19 +210,31 @@ class TestSplitBackward:
             def first(a, b):
                 return a.shape[1] == g.n_features
 
+            def matmul_key(a, b):
+                if first(a, b):
+                    return "first_layer_matmul"
+                if b.shape == (f_embed, f_proj):    # H @ w, and w = enc_w2 @ proj_w1
+                    return "head_input" if a.rows == g.n_nodes else "fold"
+                return None
+
             spmm, matmul = T.spmm, T.matmul
             monkeypatch.setattr(T, "spmm", lambda adj, x: _wrap_backward(
-                spmm(adj, x), lambda: bump("first_layer_spmm" if first(adj, x) else "spmm")))
+                spmm(adj, x), lambda: bump("first_layer_spmm" if first(adj, x)
+                                           else f"spmm_{x.cols}")))
             monkeypatch.setattr(T, "matmul", lambda a, b: _wrap_backward(
-                matmul(a, b), lambda: bump("first_layer_matmul"))
-                if first(a, b) else matmul(a, b))
+                matmul(a, b), lambda: bump(matmul_key(a, b)))
+                if matmul_key(a, b) else matmul(a, b))
             train(g, small_cfg(epochs=1))
             monkeypatch.undo()
-            # two contextual encodings of two aggregations each. Dense: one
-            # product x @ enc_w1 shared by three encodings and one of the
-            # masked features; CSR: one product of x stacked on its masked copy
+            # two contextual views of two aggregations each: the hidden layer's
+            # is f_embed wide, the projector input's f_proj. Four hidden layers
+            # each take one product with w, made once. Dense: one product
+            # x @ enc_w1 shared by three views and one of the masked features;
+            # CSR: one product of x stacked on its masked copy
             n_first = {"matmul": 2, "spmm": 1}[first_op]
-            assert counts == {"spmm": 4, f"first_layer_{first_op}": n_first}
+            assert counts == {f"spmm_{f_embed}": 2, f"spmm_{f_proj}": 2,
+                              f"first_layer_{first_op}": n_first,
+                              "head_input": 4, "fold": 1}
 
     def test_one_backward_per_contrast_step(self, graph, monkeypatch):
         # a fixed lambda runs no controller step, so every call is the contrast's
@@ -223,14 +263,14 @@ class TestSplitBackward:
         f_proj = SMALL["dims"][1]
         monkeypatch.setattr(T, "relu", tracked(T.relu, lambda out: out.cols == f_proj))
         monkeypatch.setattr(T, "normalize_rows", tracked(T.normalize_rows, lambda out: True))
-        for name in ("encode_semantic", "encode_contextual"):
-            monkeypatch.setattr(training, name, _recording(
-                getattr(training, name), lambda out: _wrap_backward(out, check)))
+        # the encoder walk starts at a projector input agg(H @ w)
+        monkeypatch.setattr(training, "second_layer", _recording(
+            training.second_layer, lambda out: _wrap_backward(out, check)))
         train(graph, small_cfg(epochs=1, fixed_lambda=0.5))
         # three views, two projections and two normalizations each. The walk
         # is the reverse of a depth-first post-order from the loss, which
-        # passes the clean encoders before the fusion head's perturbed branch:
-        # only that branch's hidden layer and unit rows are still alive
+        # passes the clean projector inputs before the fusion head's perturbed
+        # branch: only that branch's hidden layer and unit rows are still alive
         fusion_aug = {9, 11}
         assert alive == [[i in fusion_aug for i in range(12)]]
 
@@ -249,32 +289,44 @@ class TestSplitBackward:
     def test_contrast_forward_drops_what_no_backward_reads(self, graph, bow_graph,
                                                           monkeypatch):
         # the shared x @ enc_w1, the masked view's product, the contextual
-        # first-layer aggregations and h @ enc_w2 products are dead by the
-        # backward; the encodings themselves are alive. The first layer is
-        # two matmuls on dense features, and on CSR ones an spmm of x stacked
-        # on its masked copy, whose two halves are row views.
-        for g in (graph, bow_graph):
-            refs = {"first_layer": [], "spmm": [], "enc_w2": []}
+        # first-layer aggregations, the projector inputs agg(H @ w) and, for
+        # the controller, the encodings H @ enc_w2 and adj @ (H @ enc_w2) are
+        # dead by the backward; the hidden layers H are alive. The first layer
+        # is two matmuls on dense features, and on CSR ones an spmm of x
+        # stacked on its masked copy, whose two halves are row views.
+        f_embed, f_proj = SMALL["dims"][:2]
+        for g, lam in itertools.product((graph, bow_graph), (None, 0.5)):
+            refs = {"first_layer": [], "spmm": [], "enc_w2": [], "head_input": [],
+                    "hidden": []}
             alive = []
-            matmul, spmm, rows, real_backward = T.matmul, T.spmm, T.rows, T.backward
+            matmul, spmm, rows, relu, real_backward = (T.matmul, T.spmm, T.rows, T.relu,
+                                                        T.backward)
 
             def tracked_matmul(a, b):
                 out = matmul(a, b)
-                key = {g.n_features: "first_layer", 6: "enc_w2"}.get(b.rows)
-                if key and b.shape[1] == 6:
+                key = {(g.n_features, f_embed): "first_layer", (f_embed, f_embed): "enc_w2",
+                       (f_embed, f_proj): "head_input"}.get(b.shape)
+                if key and a.rows == g.n_nodes:
                     refs[key].append(weakref.ref(out.data))
                 return out
 
             def tracked_spmm(adj, x):
                 out = spmm(adj, x)
-                key = "first_layer" if adj.shape[1] == g.n_features else "spmm"
-                if x.shape[1] == 6:
+                key = "first_layer" if adj.shape[1] == g.n_features else {
+                    f_embed: "spmm", f_proj: "head_input"}.get(x.cols)
+                if key and x.cols in (f_embed, f_proj):
                     refs[key].append(weakref.ref(out.data))
                 return out
 
             def tracked_rows(a, lo, hi):
                 out = rows(a, lo, hi)
                 refs["first_layer"].append(weakref.ref(out.data))
+                return out
+
+            def tracked_relu(a, *dropout):
+                out = relu(a, *dropout)
+                if out.cols == f_embed:
+                    refs["hidden"].append(weakref.ref(out.data))
                 return out
 
             def checked_backward(loss):
@@ -285,17 +337,52 @@ class TestSplitBackward:
             monkeypatch.setattr(T, "matmul", tracked_matmul)
             monkeypatch.setattr(T, "spmm", tracked_spmm)
             monkeypatch.setattr(T, "rows", tracked_rows)
+            monkeypatch.setattr(T, "relu", tracked_relu)
             monkeypatch.setattr(T, "backward", checked_backward)
-            train(g, small_cfg(epochs=1))
+            train(g, small_cfg(epochs=1, fixed_lambda=lam))
             monkeypatch.undo()
             # first layer: x @ enc_w1 and the masked product (dense), or the
-            # stacked product and its two halves (CSR); h @ enc_w2 per
-            # encoding (semantic, masked semantic, contextual, perturbed
-            # contextual); spmm: each contextual encoding's first and second
-            # aggregation
+            # stacked product and its two halves (CSR); spmm: each contextual
+            # view's first aggregation, then, without a fixed lambda, the
+            # controller's contextual encoding, whose H @ enc_w2 is made with
+            # the semantic one's; head inputs: H @ w per view, then the two
+            # contextual aggregations of it
+            n_controller = 2 if lam is None else 0
             assert alive == [{"first_layer": [False] * (2 if g is graph else 3),
-                              "enc_w2": [True, True, False, False],
-                              "spmm": [False, True, False, True]}]
+                              "spmm": [False] * (2 + n_controller // 2),
+                              "enc_w2": [False] * n_controller,
+                              "head_input": [False] * 6,
+                              "hidden": [True] * 4}]
+
+    def test_only_the_hidden_layers_are_f_embed_wide_at_the_ntxent_backward(
+            self, graph, bow_graph, monkeypatch):
+        # the contrast step makes no N x f_embed encoding: when the walk
+        # reaches the first NT-Xent node, the four hidden layers are the only
+        # N x f_embed (or, stacked, 2N x f_embed) float arrays any Tensor holds
+        f_embed = SMALL["dims"][0]
+        for g in (graph, bow_graph):
+            assert g.n_features != f_embed
+            made, hidden, alive = [], [], []
+            init, ntxent, hidden_layer = T.Tensor.__init__, T.ntxent_view, training.hidden_layer
+
+            def tracked_init(self, data, requires_grad=False):
+                init(self, data, requires_grad)
+                if self.data.shape in ((g.n_nodes, f_embed), (2 * g.n_nodes, f_embed)):
+                    made.append(weakref.ref(self.data))
+
+            def check():
+                if not alive:
+                    alive.append({id(r()) for r in made if r() is not None})
+
+            monkeypatch.setattr(T.Tensor, "__init__", tracked_init)
+            monkeypatch.setattr(T, "ntxent_view", lambda *args: _wrap_backward(
+                ntxent(*args), check))
+            monkeypatch.setattr(training, "hidden_layer", _recording(
+                hidden_layer, lambda out: hidden.append(out.data)))
+            train(g, small_cfg(epochs=1))
+            monkeypatch.undo()
+            assert len(made) > 4 and len(hidden) == 4
+            assert alive == [{id(h) for h in hidden}]
 
     def test_epoch_tapes_freed_before_next_epoch(self, graph, monkeypatch):
         refs, alive = [], []
@@ -305,12 +392,13 @@ class TestSplitBackward:
             alive.append(sum(r() is not None for r in refs))
             return mask(*args)
 
-        for name in ("encode_semantic", "encode_contextual"):
+        for name in ("hidden_layer", "encode_semantic", "encode_contextual"):
             monkeypatch.setattr(training, name, _recording(
                 getattr(training, name), lambda out: refs.append(weakref.ref(out.data))))
         monkeypatch.setattr(training, "mask_features", checked_mask)
         train(graph, small_cfg(epochs=3))
-        # four encodings in the contrast phase and two in the controller's
+        # four hidden layers in the contrast phase and two encodings in the
+        # controller's
         assert len(refs) == 18
         assert alive == [0, 0, 0]
 
@@ -337,6 +425,30 @@ class TestSplitBackward:
         assert alive == [0, 0, 0]
 
 
+@pytest.mark.parametrize("block", [None, 7, 2])
+@pytest.mark.parametrize("shape", [(5000, 256), (183, 256), (513, 3), (1, 7)])
+def test_dropout_mask_is_drawn_in_row_blocks(monkeypatch, shape, block):
+    # the mask and the generator's next draw are those of one rng.random(shape),
+    # at the module's block size and at blocks of a few rows (or less than one)
+    if block is not None:
+        monkeypatch.setattr(training, "_MASK_BLOCK", block)
+    ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+    keep, scale = training._dropout_mask(ours, shape, 0.2, np.float32)
+    assert keep.dtype == bool and keep.shape == shape
+    assert np.array_equal(keep, theirs.random(shape) >= 0.2)
+    assert scale == np.float32(1) / np.float32(0.8) and type(scale) is np.float32
+    assert ours.random() == theirs.random()
+    assert training._dropout_mask(ours, shape, 0.0, np.float64) is None
+
+
+def test_dropout_mask_makes_no_full_size_uniform_array():
+    # the bool mask and one block's float64 buffer, not N x cols float64 uniforms
+    shape = (5000, 256)
+    _, peak = traced_memory(lambda: training._dropout_mask(
+        np.random.default_rng(0), shape, 0.2, np.float64))
+    assert peak < shape[0] * shape[1] + 2 * 8 * training._MASK_BLOCK
+
+
 def test_contrast_step_keeps_no_copy_of_the_features():
     # N x F dominates every other array here, so a masked feature copy on
     # the tape, or a dense copy of CSR features, would take the step's peak
@@ -352,6 +464,23 @@ def test_contrast_step_keeps_no_copy_of_the_features():
         _, peak = traced_memory(lambda: training._contrast_step(
             g, cfg, params, T.AdamState(), x, adj, aug_rng, drop_rng, epoch=1))
         assert peak < g.n_nodes * g.n_features * 8 / 2
+
+
+def test_contrast_step_peak_holds_no_encoding():
+    # N x f_embed float64 arrays dominate here. The peak holds the four hidden
+    # layers and, while lambda is made, its two inputs and the controller's
+    # copies of them: 8.7 such arrays, where six taped encodings made 13.4
+    for word_rate in (None, 0.05):
+        rng = np.random.default_rng(24)
+        g = random_graph(rng, n=600, f=40, p_edge=0.01, word_rate=word_rate)
+        for lam in (None, 0.5):
+            cfg = small_cfg(dims=(256, 8, 3), fixed_lambda=lam)
+            params = training.init_params(rng, training.ModelDims(g.n_features, *cfg.dims))
+            x, adj = training._inputs(g, np.float64)
+            aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
+            _, peak = traced_memory(lambda: training._contrast_step(
+                g, cfg, params, T.AdamState(), x, adj, aug_rng, drop_rng, epoch=1))
+            assert peak < 10 * g.n_nodes * cfg.dims[0] * 8
 
 
 def test_contrast_step_drops_the_augmented_graph_before_backward(graph, monkeypatch):
