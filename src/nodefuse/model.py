@@ -127,7 +127,7 @@ def first_layer_product(params: ModelParams, x, keep: np.ndarray | None = None):
     views; the copy costs O(nnz). A dense x is not copied or stacked, which
     would cost N x F: its masked view is x @ (keep.T * enc_w1). Dropout acts
     only after the first aggregation, so every encoding of the same x can
-    share one product: pass it to the encoders as `xw`.
+    share one product: pass it to `hidden_layer` or the encoders as `xw`.
     """
     if not sp.issparse(x):
         xw = T.matmul(x, params.enc_w1)
