@@ -127,7 +127,7 @@ def first_layer_product(params: ModelParams, x, keep: np.ndarray | None = None):
     views; the copy costs O(nnz). A dense x is not copied or stacked, which
     would cost N x F: its masked view is x @ (keep.T * enc_w1). Dropout acts
     only after the first aggregation, so every encoding of the same x can
-    share one product: pass it to `hidden_layer` or the encoders as `xw`.
+    share one product: pass it to `hidden_layer`, or to the encoders as `xw`.
     """
     if not sp.issparse(x):
         xw = T.matmul(x, params.enc_w1)
@@ -151,18 +151,11 @@ def _drop_columns(x: sp.spmatrix, kept: np.ndarray) -> sp.spmatrix:
     return type(x)((x.data[entry], x.indices[entry], indptr), shape=x.shape)
 
 
-def hidden_layer(params: ModelParams, x, adj,
-                 dropout: tuple[np.ndarray, float] | None = None, *,
-                 xw: Tensor | None = None) -> Tensor:
-    """The encoders' hidden layer relu(agg(x @ enc_w1)), where agg is the
-    normalized adjacency `adj`, or no mixing when `adj` is None.
-
-    `x` is as `first_layer_product` takes it. `dropout` is a (boolean keep
-    mask, scale) pair for the hidden layer, as `T.relu` takes them. `xw` is
-    `first_layer_product(params, x)` when the caller already has it.
-    """
-    if xw is None:
-        xw = first_layer_product(params, x)
+def hidden_layer(xw: Tensor, adj, dropout: tuple[np.ndarray, float] | None = None) -> Tensor:
+    """The encoders' hidden layer relu(agg(xw)) of the first-layer product
+    `xw`, where agg is the normalized adjacency `adj`, or no mixing when
+    `adj` is None. `dropout` is a (boolean keep mask, scale) pair for the
+    hidden layer, as `T.relu` takes them."""
     return T.relu(_aggregate(adj, xw), *(dropout or ()))
 
 
@@ -173,25 +166,18 @@ def second_layer(h: Tensor, w: Tensor, adj) -> Tensor:
     return _aggregate(adj, T.matmul(h, w))
 
 
-def encode_semantic(params: ModelParams, x,
-                    dropout: tuple[np.ndarray, float] | None = None, *,
-                    xw: Tensor | None = None) -> Tensor:
-    """Per-node encoding with an identity adjacency: no cross-node mixing.
-
-    `x`, `dropout` and `xw` are as `hidden_layer` takes them.
-    """
-    return second_layer(hidden_layer(params, x, None, dropout, xw=xw), params.enc_w2, None)
+def encode_semantic(params: ModelParams, x, *, xw: Tensor | None = None) -> Tensor:
+    """Per-node encoding: `encode_contextual` with no cross-node mixing."""
+    return encode_contextual(params, x, None, xw=xw)
 
 
-def encode_contextual(params: ModelParams, x, adj_hat,
-                      dropout: tuple[np.ndarray, float] | None = None, *,
-                      xw: Tensor | None = None) -> Tensor:
-    """Two aggregation rounds over the normalized adjacency, shared weights.
-
-    `dropout` and `xw` are as in `encode_semantic`.
-    """
-    h = hidden_layer(params, x, adj_hat, dropout, xw=xw)
-    return second_layer(h, params.enc_w2, adj_hat)
+def encode_contextual(params: ModelParams, x, adj_hat, *, xw: Tensor | None = None) -> Tensor:
+    """agg(relu(agg(xw)) @ enc_w2): two rounds over the normalized adjacency,
+    shared weights, no dropout. `x` is as `first_layer_product` takes it, and
+    `xw` is that product when the caller already has it."""
+    if xw is None:
+        xw = first_layer_product(params, x)
+    return second_layer(hidden_layer(xw, adj_hat), params.enc_w2, adj_hat)
 
 
 def project(params: ModelParams, a: Tensor) -> Tensor:
@@ -214,7 +200,8 @@ def controller_lambda(params: ModelParams, h_s: Tensor, h_c: Tensor,
     """Per-node fusion weight from filtered view embeddings plus degree.
 
     The view embeddings and the degree are treated as constants: gradients
-    reach only the controller parameters.
+    reach only the controller parameters. `detach` shares their arrays, so a
+    caller may pass taped encodings and needs no copy of its own.
     """
     degree = number_array(f"degree, one per row of h_s ({h_s.rows}),", degree, 1)
     if not np.all((degree >= 0) & (degree < np.inf)):    # NaN fails both

@@ -109,7 +109,9 @@ class Tensor:
         return float(self.data[0, 0])
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
+        """A constant on this array, not a copy: no op writes its inputs' arrays;
+        `adam_step` writes parameters in place, and their detaches see it."""
+        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -131,8 +131,7 @@ def _inputs(g: Graph, dtype):
 def _clean_views(params: ModelParams, x, adj) -> tuple[Tensor, Tensor]:
     """The semantic and contextual encodings of the unperturbed graph, made
     with constant encoder weights: no backward walks them, so no tape is kept."""
-    params = replace(params, enc_w1=Tensor(params.enc_w1.data),
-                     enc_w2=Tensor(params.enc_w2.data))
+    params = replace(params, enc_w1=params.enc_w1.detach(), enc_w2=params.enc_w2.detach())
     xw = first_layer_product(params, x)
     return (encode_semantic(params, x, xw=xw),
             encode_contextual(params, x, adj, xw=xw))
@@ -145,14 +144,6 @@ def _fusion_lambda(params: ModelParams, views, g: Graph,
     if fixed_lambda is not None:
         return Tensor(np.full((g.n_nodes, 1), fixed_lambda, dtype=params.enc_w1.data.dtype))
     return controller_lambda(params, *views(), g.degree).lam.detach()
-
-
-def _dropout_views(params: ModelParams, h_s: Tensor, h_c: Tensor, adj) -> tuple[Tensor, Tensor]:
-    """The encodings of the semantic and contextual hidden layers `h_s` and
-    `h_c`, made with constant arrays, so no tape is kept."""
-    enc_w2 = Tensor(params.enc_w2.data)
-    return (second_layer(Tensor(h_s.data), enc_w2, None),
-            second_layer(Tensor(h_c.data), enc_w2, adj))
 
 
 def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamState,
@@ -169,13 +160,16 @@ def _contrast_step(g: Graph, cfg: TrainConfig, params: ModelParams, state: AdamS
     xw, xw_masked = first_layer_product(params, x, keep)
     # semantic, feature-masked semantic, contextual and edge-dropped contextual
     aggs = (None, None, adj, adj_aug)
-    hidden = [hidden_layer(params, x, agg, mask, xw=xw_view) for agg, mask, xw_view
-              in zip(aggs, masks, (xw, xw_masked, xw, xw))]
+    hidden = [hidden_layer(xw_view, agg, mask) for xw_view, agg, mask
+              in zip((xw, xw_masked, xw, xw), aggs, masks)]
     # no backward reads the first-layer products or the aggregations of them,
     # so dropping them frees them all (for sparse x, the stacked product both
     # are views of)
     del xw, xw_masked
-    lam = _fusion_lambda(params, lambda: _dropout_views(params, hidden[0], hidden[2], adj),
+    # lambda's encodings stay taped, with closures holding only H, enc_w2 and
+    # adj; no loss reads them, so they die once lambda is made
+    lam = _fusion_lambda(params, lambda: (second_layer(hidden[0], params.enc_w2, None),
+                                          second_layer(hidden[2], params.enc_w2, adj)),
                          g, cfg.fixed_lambda)
     # the head reads each encoding h only as h @ proj_w1, and agg, fuse and
     # that product are linear: so the projector's inputs are agg(H @ w), with

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nodefuse import build_graph
+from nodefuse.model import first_layer_product, hidden_layer, second_layer
 
 DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
 
@@ -36,6 +37,15 @@ def traced_memory(fn):
         tracemalloc.stop()
     del result
     return held, peak
+
+
+def dropout_encoding(params, x, adj, dropout, xw=None):
+    """agg(hidden_layer(xw, agg, dropout) @ enc_w2): an encoder's output with
+    `dropout` on its hidden layer, as the contrast step's lambda reads it.
+    `adj` None is the semantic view; `xw` defaults to x's first-layer product."""
+    if xw is None:
+        xw = first_layer_product(params, x)
+    return second_layer(hidden_layer(xw, adj, dropout), params.enc_w2, adj)
 
 
 def write_dataset(d: Path, n_nodes, edges, features, labels=None,

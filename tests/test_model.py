@@ -16,7 +16,8 @@ from nodefuse.errors import CheckpointError, ContractError
 from nodefuse.graph import features_as, normalized_adjacency_sparse
 from nodefuse.model import degree_feature, first_layer_product, param_shapes
 
-from conftest import random_graph, with_checkpoint_arrays, with_checkpoint_value
+from conftest import (dropout_encoding, random_graph, with_checkpoint_arrays,
+                      with_checkpoint_value)
 
 DIMS = ModelDims(f_in=8, f_embed=5, f_proj=4, f_filter=3)
 
@@ -225,9 +226,9 @@ def test_shared_first_layer_product_matches_separate_products(params):
         for t in enc.values():
             t.grad = None
         xw = first_layer_product(params, x) if shared else None
-        hs = [encode_semantic(params, x, masks[0], xw=xw),
-              encode_contextual(params, x, adj, masks[1], xw=xw),
-              encode_contextual(params, x, adj_aug, masks[2], xw=xw)]
+        hs = [dropout_encoding(params, x, None, masks[0], xw),
+              dropout_encoding(params, x, adj, masks[1], xw),
+              dropout_encoding(params, x, adj_aug, masks[2], xw)]
         loss = T.sum_all(T.mul(hs[0], hs[0]))
         for k, h in enumerate(hs[1:], start=2):
             loss = T.add(loss, T.scale(T.sum_all(T.mul(h, h)), k))
@@ -268,7 +269,7 @@ def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype, form):
         if form == "dense" and not new:
             x = Tensor(feats)
             clean = encode_semantic(p, x)
-            masked = encode_semantic(p, Tensor(mask_features(feats, 0.5, keep_rng)), drop)
+            masked = dropout_encoding(p, Tensor(mask_features(feats, 0.5, keep_rng)), None, drop)
         else:
             keep = mask_features(np.ones((1, 8), dtype=dtype), 0.5, keep_rng)
             x = Tensor(feats) if form == "dense" else getattr(sp, f"{form}_matrix")(feats)
@@ -278,7 +279,7 @@ def test_masked_view_from_row_masked_weights_is_bitwise_equal(dtype, form):
                 xw = T.spmm(x, p.enc_w1)
                 xw_masked = T.spmm(x, T.rowscale(p.enc_w1, Tensor(keep.T)))
             clean = encode_semantic(p, x, xw=xw)
-            masked = encode_semantic(p, x, drop, xw=xw_masked)
+            masked = dropout_encoding(p, x, None, drop, xw_masked)
         backward(T.add(T.sum_all(T.mul(clean, Tensor(seeds[0]))),
                        T.sum_all(T.mul(masked, Tensor(seeds[1])))))
         return clean.data, masked.data, p.enc_w1.grad
@@ -302,9 +303,9 @@ class TestSparseFeatures:
     def _encodings(params, x, adj, keep, drop, seeds):
         for t in (params.enc_w1, params.enc_w2):
             t.grad = None
-        hs = [encode_semantic(params, x, drop),
-              encode_semantic(params, x, drop, xw=first_layer_product(params, x, keep)[1]),
-              encode_contextual(params, x, adj, drop)]
+        hs = [dropout_encoding(params, x, None, drop),
+              dropout_encoding(params, x, None, drop, first_layer_product(params, x, keep)[1]),
+              dropout_encoding(params, x, adj, drop)]
         loss = None
         for h, seed in zip(hs, seeds):
             term = T.sum_all(T.mul(h, Tensor(seed)))

@@ -807,3 +807,15 @@ class TestTapeOwnership:
         assert out._parents == (None, w.node)
         assert isinstance(w.node, T.Node) and x.node is None
         assert not any(isinstance(p, (Tensor, np.ndarray)) for p in out._parents)
+
+    def test_detach_shares_the_array_and_has_no_node(self):
+        # a detached tensor is a constant on the source's own array; the
+        # source keeps its node, and a gradient through the constant stops
+        rng = np.random.default_rng(33)
+        w = rand_tensor(rng, (3, 2), True)
+        node = w.node
+        const = w.detach()
+        assert np.shares_memory(const.data, w.data) and const.data is w.data
+        assert const.node is None and w.node is node
+        backward(T.sum_all(T.mul(const, w)))
+        np.testing.assert_array_equal(w.grad, w.data)

@@ -15,7 +15,7 @@ from nodefuse.errors import ContractError, FormatError
 from nodefuse.losses import contrast_loss
 from nodefuse.model import controller_lambda, fuse
 
-from conftest import random_graph, traced_memory
+from conftest import dropout_encoding, random_graph, traced_memory
 
 SMALL = dict(dims=(6, 4, 3), epochs=3, patience=None)
 BAD_FIXED_LAMBDAS = [float("nan"), float("inf"), 1e308, -0.1, 1.5]
@@ -142,21 +142,18 @@ class TestSplitBackward:
             products.extend((view, args, k) for k, view in enumerate(views(out)))
             return out
 
-        def recording_hidden(params, x, agg, mask, *, xw):
-            hidden_calls.append((x, agg, mask, xw))
-            return hidden_layer(params, x, agg, mask, xw=xw)
+        def recording_hidden(xw, agg, mask):
+            hidden_calls.append((xw, agg, mask))
+            return hidden_layer(xw, agg, mask)
 
         def recording_fuse(a_s, a_c, lam_t):
             fuse_lams.append(lam_t)
             return fuse(a_s, a_c, lam_t)
 
-        def reference_encoding(params, x, agg, mask, xw):
+        def reference_encoding(params, xw, agg, mask):
             # the step's tape is walked, so the reference builds its own
             xw_args, k = next((a, k) for view, a, k in products if view is xw)
-            xw = views(product(*xw_args))[k]
-            if agg is None:
-                return encode_semantic(params, x, mask, xw=xw)
-            return training.encode_contextual(params, x, agg, mask, xw=xw)
+            return dropout_encoding(params, None, agg, mask, views(product(*xw_args))[k])
 
         real_step = training._step
 
@@ -168,7 +165,7 @@ class TestSplitBackward:
                     t.grad = None
                 assert len(hidden_calls) == 4
                 assert all((mask is None) == (dropout == 0.0)
-                           for _, _, mask, _ in hidden_calls)
+                           for _, _, mask in hidden_calls)
                 h_s, h_s_aug, h_c, h_c_aug = (reference_encoding(params, *c)
                                               for c in hidden_calls)
                 lam_t = fuse_lams[0]
@@ -468,8 +465,9 @@ def test_contrast_step_keeps_no_copy_of_the_features():
 
 def test_contrast_step_peak_holds_no_encoding():
     # N x f_embed float64 arrays dominate here. The peak holds the four hidden
-    # layers and, while lambda is made, its two inputs and the controller's
-    # copies of them: 8.7 such arrays, where six taped encodings made 13.4
+    # layers and the head's arrays, with a learned lambda as with a fixed one:
+    # 7.8 such arrays, where six taped encodings made 13.4 and the
+    # controller's copies of lambda's two inputs 8.7
     for word_rate in (None, 0.05):
         rng = np.random.default_rng(24)
         g = random_graph(rng, n=600, f=40, p_edge=0.01, word_rate=word_rate)
@@ -480,7 +478,22 @@ def test_contrast_step_peak_holds_no_encoding():
             aug_rng, drop_rng = np.random.default_rng(1).spawn(2)
             _, peak = traced_memory(lambda: training._contrast_step(
                 g, cfg, params, T.AdamState(), x, adj, aug_rng, drop_rng, epoch=1))
-            assert peak < 10 * g.n_nodes * cfg.dims[0] * 8
+            assert peak < 8.2 * g.n_nodes * cfg.dims[0] * 8
+
+
+def test_controller_step_peak_holds_no_copy_of_the_encodings():
+    # the controller reads the clean encodings through detach, which shares
+    # their arrays: the peak is the two encodings and what making them takes,
+    # 5.1 N x f_embed arrays, where a copy at each of the four detaches made 9.1
+    for word_rate in (None, 0.05):
+        rng = np.random.default_rng(24)
+        g = random_graph(rng, n=600, f=40, p_edge=0.01, word_rate=word_rate)
+        cfg = small_cfg(dims=(256, 8, 3))
+        params = training.init_params(rng, training.ModelDims(g.n_features, *cfg.dims))
+        x, adj = training._inputs(g, np.float64)
+        _, peak = traced_memory(lambda: training._controller_step(
+            g, cfg, params, T.AdamState(), x, adj, epoch=1))
+        assert peak < 6 * g.n_nodes * cfg.dims[0] * 8
 
 
 def test_contrast_step_drops_the_augmented_graph_before_backward(graph, monkeypatch):
